@@ -56,7 +56,7 @@ struct RunResult {
 /// crashes armed so that the expected crash count over the baseline
 /// makespan is `rate * tasks`, and the restart budget picking between
 /// fail-stop and recovering behaviour.
-RunResult run_case(std::size_t tasks, double rate, std::size_t max_restarts,
+RunResult run_case(std::size_t tasks, double rate, int max_restarts,
                    double baseline_makespan) {
   core::Session session{core::SessionConfig{.seed = 4242}};
   session.add_platform(platform::delta_profile(kNodes));

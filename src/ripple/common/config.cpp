@@ -19,7 +19,7 @@ Config Config::from_string(const std::string& text) {
 
 Config Config::from_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) raise(Errc::io_error, strutil::cat("cannot open '", path, "'"));
+  if (!in) raise(Errc::io_error, "cannot open '", path, "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return from_string(buffer.str());

@@ -20,12 +20,4 @@ Error::Error(Errc code, const std::string& message)
     : std::runtime_error(std::string(to_string(code)) + ": " + message),
       code_(code) {}
 
-void raise(Errc code, const std::string& message) {
-  throw Error(code, message);
-}
-
-void ensure(bool condition, Errc code, const std::string& message) {
-  if (!condition) raise(code, message);
-}
-
 }  // namespace ripple

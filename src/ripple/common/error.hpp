@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ripple/common/strutil.hpp"
+
 namespace ripple {
 
 /// Coarse error classification carried by every ripple::Error.
@@ -39,12 +41,22 @@ class Error : public std::runtime_error {
   Errc code_;
 };
 
-/// Throws ripple::Error with the given code and message.
-[[noreturn]] void raise(Errc code, const std::string& message);
+/// Throws ripple::Error with the given code. The message is `parts`
+/// concatenated as strutil::cat() does. Kept out of line and cold, so a
+/// passing ensure() inlines to its condition alone.
+template <typename... Parts>
+[[noreturn, gnu::cold, gnu::noinline]] void raise(Errc code,
+                                                  const Parts&... parts) {
+  throw Error(code, strutil::cat(parts...));
+}
 
 /// Precondition / invariant check: throws ripple::Error when `condition`
 /// is false. Used at public API boundaries instead of assert() so that
-/// misuse is diagnosable in release builds.
-void ensure(bool condition, Errc code, const std::string& message);
+/// misuse is diagnosable in release builds. The message parts are only
+/// formatted on failure: pass values, ids and enums, not formatted text.
+template <typename... Parts>
+void ensure(bool condition, Errc code, const Parts&... parts) {
+  if (!condition) [[unlikely]] raise(code, parts...);
+}
 
 }  // namespace ripple

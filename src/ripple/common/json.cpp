@@ -39,8 +39,8 @@ Type Value::type() const noexcept {
 
 namespace {
 [[noreturn]] void type_mismatch(Type actual, const char* wanted) {
-  raise(Errc::invalid_state, strutil::cat("json value is ", to_string(actual),
-                                          ", wanted ", wanted));
+  raise(Errc::invalid_state, "json value is ", to_string(actual), ", wanted ",
+        wanted);
 }
 }  // namespace
 
@@ -99,7 +99,7 @@ const Value& Value::at(const std::string& key) const {
   const auto& obj = as_object();
   const auto it = obj.find(key);
   if (it == obj.end()) {
-    raise(Errc::not_found, strutil::cat("json object has no member '", key, "'"));
+    raise(Errc::not_found, "json object has no member '", key, "'");
   }
   return it->second;
 }
@@ -107,8 +107,8 @@ const Value& Value::at(const std::string& key) const {
 const Value& Value::at(std::size_t index) const {
   const auto& arr = as_array();
   if (index >= arr.size()) {
-    raise(Errc::not_found, strutil::cat("json array index ", index,
-                                        " out of range (size ", arr.size(), ")"));
+    raise(Errc::not_found, "json array index ", index, " out of range (size ",
+          arr.size(), ")");
   }
   return arr[index];
 }
@@ -308,8 +308,8 @@ class Parser {
         ++column;
       }
     }
-    raise(Errc::parse_error, strutil::cat("json: ", message, " at line ", line,
-                                          " column ", column));
+    raise(Errc::parse_error, "json: ", message, " at line ", line, " column ",
+          column);
   }
 
   [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "ripple/common/json.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::common {
 
@@ -118,15 +117,13 @@ std::shared_ptr<LogSink> LogConfig::sink() const {
 Logger::Logger(std::string name, ClockFn clock)
     : name_(std::move(name)), clock_(std::move(clock)) {}
 
-void Logger::log(LogLevel level, const std::string& message) const {
-  auto& config = LogConfig::global();
-  if (level < config.level()) return;
+void Logger::write(LogLevel level, std::string message) const {
   LogRecord record;
   record.level = level;
   record.logger = name_;
   record.time = clock_ ? clock_() : -1.0;
-  record.message = message;
-  config.sink()->write(record);
+  record.message = std::move(message);
+  LogConfig::global().sink()->write(record);
 }
 
 }  // namespace ripple::common

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "ripple/common/strutil.hpp"
+
 namespace ripple::common {
 
 enum class LogLevel { trace = 0, debug, info, warn, error, off };
@@ -100,24 +102,37 @@ class LogConfig {
   std::shared_ptr<LogSink> sink_;
 };
 
-/// A named logging facade. Cheap to copy.
+/// A named logging facade. Cheap to copy. A record's message is `parts`
+/// concatenated as strutil::cat() does, formatted only past the level.
 class Logger {
  public:
   using ClockFn = std::function<double()>;
 
   explicit Logger(std::string name, ClockFn clock = nullptr);
 
-  void log(LogLevel level, const std::string& message) const;
+  template <typename... Parts>
+  void log(LogLevel level, const Parts&... parts) const {
+    if (level >= LogConfig::global().level()) {
+      write(level, strutil::cat(parts...));
+    }
+  }
 
-  void trace(const std::string& message) const { log(LogLevel::trace, message); }
-  void debug(const std::string& message) const { log(LogLevel::debug, message); }
-  void info(const std::string& message) const { log(LogLevel::info, message); }
-  void warn(const std::string& message) const { log(LogLevel::warn, message); }
-  void error(const std::string& message) const { log(LogLevel::error, message); }
+  template <typename... Parts>
+  void trace(const Parts&... parts) const { log(LogLevel::trace, parts...); }
+  template <typename... Parts>
+  void debug(const Parts&... parts) const { log(LogLevel::debug, parts...); }
+  template <typename... Parts>
+  void info(const Parts&... parts) const { log(LogLevel::info, parts...); }
+  template <typename... Parts>
+  void warn(const Parts&... parts) const { log(LogLevel::warn, parts...); }
+  template <typename... Parts>
+  void error(const Parts&... parts) const { log(LogLevel::error, parts...); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
+  void write(LogLevel level, std::string message) const;
+
   std::string name_;
   ClockFn clock_;
 };

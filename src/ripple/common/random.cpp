@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::common {
 
@@ -168,8 +167,7 @@ Distribution Distribution::from_json(const json::Value& spec) {
     return exponential(spec.at("mean").as_double(),
                        spec.get_or("floor", 0.0).as_double());
   }
-  raise(Errc::parse_error,
-        strutil::cat("unknown distribution kind '", kind, "'"));
+  raise(Errc::parse_error, "unknown distribution kind '", kind, "'");
 }
 
 json::Value Distribution::to_json() const {

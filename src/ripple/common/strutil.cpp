@@ -97,6 +97,14 @@ std::string format_fixed(double value, int precision) {
   return os.str();
 }
 
+std::ostream& operator<<(std::ostream& os, Duration duration) {
+  return os << format_duration(duration.seconds);
+}
+
+std::ostream& operator<<(std::ostream& os, Fixed fixed) {
+  return os << format_fixed(fixed.value, fixed.precision);
+}
+
 std::string zero_pad(std::uint64_t value, int width) {
   std::ostringstream os;
   os << std::setw(width) << std::setfill('0') << value;

@@ -50,6 +50,19 @@ template <typename... Args>
 /// Fixed-precision decimal formatting (std::to_string has fixed 6 digits).
 [[nodiscard]] std::string format_fixed(double value, int precision);
 
+/// Streams as format_duration(seconds) and format_fixed(value, precision)
+/// do, but only when written, so an ensure() or log part that passes or
+/// is filtered formats nothing.
+struct Duration {
+  double seconds;
+};
+struct Fixed {
+  double value;
+  int precision;
+};
+std::ostream& operator<<(std::ostream& os, Duration duration);
+std::ostream& operator<<(std::ostream& os, Fixed fixed);
+
 /// Zero-padded decimal rendering of `value` at `width` digits.
 [[nodiscard]] std::string zero_pad(std::uint64_t value, int width);
 

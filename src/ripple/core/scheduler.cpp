@@ -22,8 +22,8 @@ void Scheduler::set_policy(SchedulerPolicy policy) noexcept {
 }
 
 void Scheduler::add_pilot(Pilot& pilot) {
-  ensure(pilots_.count(pilot.uid()) == 0, Errc::invalid_state,
-         strutil::cat("pilot ", pilot.uid(), " already registered"));
+  ensure(pilots_.count(pilot.uid()) == 0, Errc::invalid_state, "pilot ",
+         pilot.uid(), " already registered");
   PilotEntry& entry = pilots_[pilot.uid()];
   try {
     entry.pilot = &pilot;
@@ -77,8 +77,8 @@ void Scheduler::trace_pass(const PilotEntry& entry, std::size_t grants) {
 
 Scheduler::PilotEntry& Scheduler::entry_for(const std::string& pilot_uid) {
   const auto it = pilots_.find(pilot_uid);
-  ensure(it != pilots_.end(), Errc::not_found,
-         strutil::cat("unknown pilot '", pilot_uid, "'"));
+  ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", pilot_uid,
+         "'");
   return it->second;
 }
 
@@ -99,8 +99,8 @@ bool specs_cover(const std::vector<platform::NodeSpec>& specs,
 bool Scheduler::fits_pilot(const std::string& pilot_uid, std::size_t cores,
                            std::size_t gpus, double mem_gb) const {
   const auto it = pilots_.find(pilot_uid);
-  ensure(it != pilots_.end(), Errc::not_found,
-         strutil::cat("unknown pilot '", pilot_uid, "'"));
+  ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", pilot_uid,
+         "'");
   return specs_cover(it->second.distinct_specs, cores, gpus, mem_gb);
 }
 
@@ -112,10 +112,8 @@ void Scheduler::validate_fits_pilot(const PilotEntry& entry,
   // typically homogeneous, so this is one comparison.
   ensure(specs_cover(entry.distinct_specs, request.cores, request.gpus,
                      request.mem_gb),
-         Errc::capacity,
-         strutil::cat("request ", request.uid, " (", request.cores, "c/",
-                      request.gpus, "g) cannot fit any node of pilot ",
-                      entry.pilot->uid()));
+         Errc::capacity, "request ", request.uid, " (", request.cores, "c/",
+         request.gpus, "g) cannot fit any node of pilot ", entry.pilot->uid());
 }
 
 WaitQueue::Key Scheduler::enqueue(PilotEntry& entry,
@@ -181,8 +179,8 @@ void Scheduler::release(const std::string& pilot_uid,
                         const platform::Slot& slot) {
   PilotEntry& entry = entry_for(pilot_uid);
   platform::Node* node = entry.pilot->cluster().find_node(slot.node_id);
-  ensure(node != nullptr, Errc::not_found,
-         strutil::cat("release on unknown node '", slot.node_id, "'"));
+  ensure(node != nullptr, Errc::not_found, "release on unknown node '",
+         slot.node_id, "'");
   node->release(slot);  // capacity index updates via the listener
   try_schedule(entry);
 }
@@ -234,11 +232,11 @@ void Scheduler::commit_grant(
     std::function<void(platform::Slot, platform::Node*)> callback) {
   wait_times_.add(runtime_.loop().now() - enqueued_at);
   ++granted_;
-  runtime_.counters().add("sched.grants");
-  if (!tenant.empty()) {
-    runtime_.counters().add(strutil::cat("sched.grants.", tenant));
-    if (share_cost > 0.0) tenant_shares_[tenant] += share_cost;
+  if (runtime_.counters().enabled()) {
+    runtime_.counters().add("sched.grants");
+    if (!tenant.empty()) runtime_.counters().add("sched.grants." + tenant);
   }
+  if (!tenant.empty() && share_cost > 0.0) tenant_shares_[tenant] += share_cost;
   grant_hash_ = common::fnv1a(grant_hash_, uid);
   grant_hash_ = common::fnv1a(grant_hash_, node->id());
   grant_hash_ = common::fnv1a(grant_hash_,
@@ -543,8 +541,8 @@ std::size_t Scheduler::release_batch(
     // Resolve the node up front (loop-thread, may throw not_found).
     platform::Node* node =
         entry.pilot->cluster().find_node(slot.node_id);
-    ensure(node != nullptr, Errc::not_found,
-           strutil::cat("release on unknown node '", slot.node_id, "'"));
+    ensure(node != nullptr, Errc::not_found, "release on unknown node '",
+           slot.node_id, "'");
     it->second.push_back(&slot);
   }
   if (grouped.empty()) return 0;

@@ -1,5 +1,7 @@
 #include "ripple/core/states.hpp"
 
+#include <ostream>
+
 namespace ripple::core {
 
 const char* to_string(TaskState state) noexcept {
@@ -19,6 +21,10 @@ const char* to_string(TaskState state) noexcept {
   return "?";
 }
 
+std::ostream& operator<<(std::ostream& os, TaskState state) {
+  return os << to_string(state);
+}
+
 const char* to_string(ServiceState state) noexcept {
   switch (state) {
     case ServiceState::created: return "CREATED";
@@ -36,6 +42,10 @@ const char* to_string(ServiceState state) noexcept {
   return "?";
 }
 
+std::ostream& operator<<(std::ostream& os, ServiceState state) {
+  return os << to_string(state);
+}
+
 const char* to_string(PilotState state) noexcept {
   switch (state) {
     case PilotState::created: return "CREATED";
@@ -45,6 +55,10 @@ const char* to_string(PilotState state) noexcept {
     case PilotState::canceled: return "CANCELED";
   }
   return "?";
+}
+
+std::ostream& operator<<(std::ostream& os, PilotState state) {
+  return os << to_string(state);
 }
 
 bool is_terminal(TaskState state) noexcept {

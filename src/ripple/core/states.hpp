@@ -9,6 +9,7 @@
 /// Fig. 3 bootstrap-time decomposition is derived. Transition legality is
 /// enforced centrally so a bug in any manager surfaces immediately.
 
+#include <iosfwd>
 #include <string>
 
 namespace ripple::core {
@@ -52,6 +53,11 @@ enum class PilotState {
 [[nodiscard]] const char* to_string(TaskState state) noexcept;
 [[nodiscard]] const char* to_string(ServiceState state) noexcept;
 [[nodiscard]] const char* to_string(PilotState state) noexcept;
+
+/// Write the to_string() names, so a state can be an ensure() or log part.
+std::ostream& operator<<(std::ostream& os, TaskState state);
+std::ostream& operator<<(std::ostream& os, ServiceState state);
+std::ostream& operator<<(std::ostream& os, PilotState state);
 
 [[nodiscard]] bool is_terminal(TaskState state) noexcept;
 [[nodiscard]] bool is_terminal(ServiceState state) noexcept;

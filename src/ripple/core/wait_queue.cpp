@@ -1,14 +1,12 @@
 #include "ripple/core/wait_queue.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::core {
 
 void WaitQueue::push(Key key, Entry entry) {
   ensure(by_uid_.emplace(entry.request.uid, key).second, Errc::invalid_state,
-         strutil::cat("wait queue: uid '", entry.request.uid,
-                      "' already queued"));
+         "wait queue: uid '", entry.request.uid, "' already queued");
   const bool inserted = queue_.emplace(key, std::move(entry)).second;
   ensure(inserted, Errc::internal, "wait queue: duplicate sequence");
 }

@@ -1,7 +1,6 @@
 #include "ripple/metrics/registry.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::metrics {
 
@@ -38,8 +37,8 @@ common::Summary Registry::bootstrap_component(
     } else if (component == "total") {
       out.add(record.total());
     } else {
-      raise(Errc::invalid_argument,
-            strutil::cat("unknown bootstrap component '", component, "'"));
+      raise(Errc::invalid_argument, "unknown bootstrap component '", component,
+            "'");
     }
   }
   return out;
@@ -56,8 +55,8 @@ bool Registry::has_series(const std::string& series) const {
 
 const RequestSeries& Registry::series(const std::string& name) const {
   const auto it = request_series_.find(name);
-  ensure(it != request_series_.end(), Errc::not_found,
-         strutil::cat("no request series '", name, "'"));
+  ensure(it != request_series_.end(), Errc::not_found, "no request series '",
+         name, "'");
   return it->second;
 }
 
@@ -74,8 +73,8 @@ void Registry::add_duration(const std::string& name, double seconds) {
 
 const common::Summary& Registry::durations(const std::string& name) const {
   const auto it = duration_series_.find(name);
-  ensure(it != duration_series_.end(), Errc::not_found,
-         strutil::cat("no duration series '", name, "'"));
+  ensure(it != duration_series_.end(), Errc::not_found, "no duration series '",
+         name, "'");
   return it->second;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::ml {
 
@@ -153,8 +152,7 @@ std::unique_ptr<LoadBalancer> make_balancer(const std::string& policy,
   if (policy == "least_outstanding") {
     return std::make_unique<LeastOutstandingBalancer>(std::move(endpoints));
   }
-  raise(Errc::not_found,
-        strutil::cat("unknown load-balancing policy '", policy, "'"));
+  raise(Errc::not_found, "unknown load-balancing policy '", policy, "'");
 }
 
 }  // namespace ripple::ml

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::ml {
 
@@ -164,7 +163,7 @@ const ModelSpec& ModelRegistry::get(const std::string& name) const {
   for (const auto& spec : specs_) {
     if (spec.name == name) return spec;
   }
-  raise(Errc::not_found, strutil::cat("unknown model '", name, "'"));
+  raise(Errc::not_found, "unknown model '", name, "'");
 }
 
 std::vector<std::string> ModelRegistry::names() const {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::platform {
 
@@ -23,8 +22,7 @@ LaunchMethod launch_method_from_string(const std::string& name) {
   if (name == "ssh") return LaunchMethod::ssh;
   if (name == "mpiexec") return LaunchMethod::mpiexec;
   if (name == "prrte") return LaunchMethod::prrte;
-  raise(Errc::parse_error,
-        strutil::cat("unknown launch method '", name, "'"));
+  raise(Errc::parse_error, "unknown launch method '", name, "'");
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #include "ripple/platform/profiles.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::platform {
 
@@ -87,8 +86,7 @@ PlatformProfile profile_by_name(const std::string& name, std::size_t nodes) {
   }
   if (name == "delta") return nodes ? delta_profile(nodes) : delta_profile();
   if (name == "r3") return nodes ? r3_profile(nodes) : r3_profile();
-  raise(Errc::not_found,
-        strutil::cat("unknown platform profile '", name, "'"));
+  raise(Errc::not_found, "unknown platform profile '", name, "'");
 }
 
 }  // namespace ripple::platform

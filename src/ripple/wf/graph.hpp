@@ -78,12 +78,12 @@ struct GraphNode {
   /// record failures in their outcome but leave the graph healthy.
   bool tolerate_failures = false;
 
-  BranchSelector select;       ///< conditional-branch choice, optional
-  CompletionHook on_complete;  ///< completion observer, optional
+  BranchSelector select{};       ///< conditional-branch choice, optional
+  CompletionHook on_complete{};  ///< completion observer, optional
 
   /// Name used in results/metrics when it differs from the graph key
   /// (pipeline adapter with duplicate stage names). Empty: use the key.
-  std::string display;
+  std::string display{};
 };
 
 /// Per-edge coupling options (designated-initializer friendly).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "ripple/common/config.hpp"
 #include "ripple/common/error.hpp"
@@ -69,6 +70,11 @@ TEST(Strutil, FormatDurationAdaptiveUnits) {
   EXPECT_EQ(strutil::format_duration(7200.0), "2.00 h");
 }
 
+TEST(Strutil, LazyFormattersStreamLikeTheirFunctions) {
+  EXPECT_EQ(strutil::cat(strutil::Duration{4.7e-3}), "4.70 ms");
+  EXPECT_EQ(strutil::cat(strutil::Fixed{1.23456, 2}), "1.23");
+}
+
 TEST(Strutil, FormatBytes) {
   EXPECT_EQ(strutil::format_bytes(512), "512 B");
   EXPECT_EQ(strutil::format_bytes(2048), "2.0 KiB");
@@ -90,9 +96,38 @@ TEST(ErrorHandling, CodeAndMessage) {
   }
 }
 
+/// A message part that counts how often it is formatted.
+struct CountingPart {
+  int* formats;
+  int value;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountingPart& part) {
+  ++*part.formats;
+  return os << "part#" << part.value;
+}
+
 TEST(ErrorHandling, EnsurePassesAndThrows) {
   EXPECT_NO_THROW(ensure(true, Errc::internal, "fine"));
   EXPECT_THROW(ensure(false, Errc::capacity, "nope"), Error);
+
+  // A passing check formats none of its parts.
+  int formats = 0;
+  const CountingPart part{&formats, 7};
+  ensure(true, Errc::internal, "node ", part, " at ", 2.5);
+  EXPECT_EQ(formats, 0);
+
+  // A failing one formats them once, into the text strutil::cat gives.
+  const std::string expected = strutil::cat("node ", part, " at ", 2.5);
+  formats = 0;
+  try {
+    ensure(false, Errc::capacity, "node ", part, " at ", 2.5);
+    FAIL() << "a failing ensure() did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::capacity);
+    EXPECT_STREQ(e.what(), Error(Errc::capacity, expected).what());
+    EXPECT_EQ(formats, 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -128,6 +163,28 @@ TEST(Logging, MemorySinkCapturesAboveThreshold) {
   EXPECT_EQ(sink->count(common::LogLevel::error), 1u);
   EXPECT_DOUBLE_EQ(sink->records().front().time, 12.5);
   EXPECT_EQ(sink->records().front().logger, "test");
+
+  common::LogConfig::global().set_sink(nullptr);
+  common::LogConfig::global().set_level(common::LogLevel::warn);
+}
+
+TEST(Logging, FormatsOnlyRecordsThatPassTheThreshold) {
+  auto sink = std::make_shared<common::MemorySink>();
+  common::LogConfig::global().set_sink(sink);
+  common::LogConfig::global().set_level(common::LogLevel::info);
+
+  int formats = 0;
+  const CountingPart part{&formats, 3};
+  common::Logger log("test");
+  log.debug("hidden ", part);
+  EXPECT_EQ(formats, 0);
+  EXPECT_EQ(sink->records().size(), 0u);
+
+  log.info("shown ", part, " x", 1.5);
+  EXPECT_EQ(formats, 1);
+  ASSERT_EQ(sink->records().size(), 1u);
+  EXPECT_EQ(sink->records().front().message,
+            strutil::cat("shown ", part, " x", 1.5));
 
   common::LogConfig::global().set_sink(nullptr);
   common::LogConfig::global().set_level(common::LogLevel::warn);

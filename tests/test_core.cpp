@@ -131,6 +131,15 @@ TEST(TaskEntity, IllegalTransitionThrows) {
   EXPECT_THROW(task.set_state(TaskState::running, 1.0), Error);
   task.set_state(TaskState::canceled, 1.0);
   EXPECT_THROW(task.set_state(TaskState::scheduling, 2.0), Error);
+  // States are message parts: the text names them as to_string() does.
+  try {
+    task.set_state(TaskState::running, 3.0);
+    FAIL() << "an illegal transition did not throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid_state: task.x: illegal transition CANCELED -> "
+                 "RUNNING");
+  }
 }
 
 TEST(ServiceEntity, BootstrapTimingComplete) {
