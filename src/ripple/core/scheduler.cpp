@@ -232,10 +232,8 @@ void Scheduler::commit_grant(
     std::function<void(platform::Slot, platform::Node*)> callback) {
   wait_times_.add(runtime_.loop().now() - enqueued_at);
   ++granted_;
-  if (runtime_.counters().enabled()) {
-    runtime_.counters().add("sched.grants");
-    if (!tenant.empty()) runtime_.counters().add("sched.grants." + tenant);
-  }
+  runtime_.counters().add("sched.grants");
+  if (!tenant.empty()) runtime_.counters().add("sched.grants.", tenant);
   if (!tenant.empty() && share_cost > 0.0) tenant_shares_[tenant] += share_cost;
   grant_hash_ = common::fnv1a(grant_hash_, uid);
   grant_hash_ = common::fnv1a(grant_hash_, node->id());

@@ -137,9 +137,9 @@ TransferEngine::TransferId TransferEngine::transfer(
                              {{"src", src_zone}, {"dst", dst_zone}});
     if (!tenant.empty()) tracer_->arg(t.trace, "tenant", tenant);
   }
-  if (counters_ != nullptr && counters_->enabled()) {
+  if (counters_ != nullptr) {
     counters_->add("data.transfers");
-    if (!tenant.empty()) counters_->add("data.transfers." + tenant);
+    if (!tenant.empty()) counters_->add("data.transfers.", tenant);
   }
   transfers_.emplace(id, std::move(t));
   ++started_;
@@ -244,9 +244,9 @@ TransferEngine::TransferId TransferEngine::transfer_striped(
                                   loop_.now(), 0, {{"dst", dst_zone}});
     if (!tenant.empty()) tracer_->arg(parent.trace, "tenant", tenant);
   }
-  if (counters_ != nullptr && counters_->enabled()) {
+  if (counters_ != nullptr) {
     counters_->add("data.transfers");
-    if (!tenant.empty()) counters_->add("data.transfers." + tenant);
+    if (!tenant.empty()) counters_->add("data.transfers.", tenant);
   }
   ++started_;
 

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,12 @@ class Counters {
 
   /// Adds `delta` to the named monotonic counter.
   void add(const std::string& name, double delta = 1.0);
+
+  /// Adds to counter `prefix + suffix`, building the name only if enabled.
+  void add(std::string_view prefix, const std::string& suffix,
+           double delta = 1.0) {
+    if (enabled_) add(std::string(prefix) + suffix, delta);
+  }
 
   /// Sets the named value outright (for push-style gauges such as
   /// "ml.batch_fill" that are cheaper to set at the source than to

@@ -64,8 +64,6 @@ InferenceClientPayload::InferenceClientPayload(
     const core::TaskDescription& desc)
     : desc_(desc) {}
 
-namespace {
-
 /// Book-keeps one client task's request stream; owns the RpcClient and
 /// load balancer and keeps itself alive until all requests complete.
 /// Failures (server rejects, vanished endpoints, timeouts) are retried
@@ -77,6 +75,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   ClientRun(core::ExecutionContext& ctx, ClientConfig config,
             core::TaskPayload::DoneFn done, core::TaskPayload::FailFn fail)
       : ctx_(ctx),
+        pubsub_(ctx.runtime->pubsub()),
         config_(std::move(config)),
         done_(std::move(done)),
         fail_(std::move(fail)),
@@ -92,7 +91,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     }
     if (!config_.watch.empty()) {
       auto self = shared_from_this();
-      subscription_ = ctx_.runtime->pubsub().subscribe(
+      subscription_ = pubsub_.subscribe(
           "endpoints",
           [self](const std::string&, const json::Value& event) {
             self->on_endpoint_event(event);
@@ -106,6 +105,16 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     const std::size_t first_wave =
         std::min(config_.concurrency, config_.requests);
     for (std::size_t i = 0; i < first_wave; ++i) send_next();
+  }
+
+  /// Ends the run without reporting. Callbacks still holding `self`
+  /// then return before touching `ctx_`, which may already be gone.
+  void stop() {
+    finished_ = true;
+    if (subscription_ != 0) {
+      pubsub_.unsubscribe(subscription_);
+      subscription_ = 0;
+    }
   }
 
  private:
@@ -176,7 +185,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   }
 
   void send_next() {
-    if (sent_ >= config_.requests) return;
+    if (finished_ || sent_ >= config_.requests) return;
     ++sent_;
     ++in_flight_;
     attempt(0);
@@ -198,6 +207,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
 
   void on_result(const std::string& target, std::size_t tries,
                  msg::CallResult result) {
+    if (finished_) return;
     balancer_->on_complete(target);
     if (!result.ok && tries < config_.max_retries) {
       // Bounded exponential backoff before the next attempt; the
@@ -214,6 +224,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
           retry_rng_.uniform(0.5, 1.5);
       auto self = shared_from_this();
       ctx_.loop().call_after(delay, [self, tries] {
+        if (self->finished_) return;
         self->reconcile_watch();
         self->attempt(tries + 1);
       });
@@ -244,11 +255,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
 
   void finish() {
     if (finished_) return;
-    finished_ = true;
-    if (subscription_ != 0) {
-      ctx_.runtime->pubsub().unsubscribe(subscription_);
-      subscription_ = 0;
-    }
+    stop();
     if (ok_ == 0 && failed_ > 0) {
       fail_(strutil::cat("all ", failed_, " requests failed: ",
                          last_error_));
@@ -270,6 +277,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   }
 
   core::ExecutionContext& ctx_;
+  msg::PubSub& pubsub_;  ///< outlives ctx_; stop() may run after it is freed
   ClientConfig config_;
   core::TaskPayload::DoneFn done_;
   core::TaskPayload::FailFn fail_;
@@ -292,7 +300,9 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   common::Summary totals_;
 };
 
-}  // namespace
+InferenceClientPayload::~InferenceClientPayload() {
+  if (const auto run = run_.lock()) run->stop();
+}
 
 void InferenceClientPayload::run(core::ExecutionContext& ctx, DoneFn done,
                                  FailFn fail) {
@@ -306,9 +316,10 @@ void InferenceClientPayload::run(core::ExecutionContext& ctx, DoneFn done,
     fail("inference client has no endpoints configured");
     return;
   }
-  auto run_state = std::make_shared<ClientRun>(
+  const auto run = std::make_shared<ClientRun>(
       ctx, std::move(config), std::move(done), std::move(fail));
-  run_state->start();
+  run_ = run;
+  run->start();
 }
 
 }  // namespace ripple::ml

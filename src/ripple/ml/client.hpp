@@ -60,14 +60,19 @@ struct ClientConfig {
   [[nodiscard]] json::Value to_json() const;
 };
 
+class ClientRun;
+
+/// Destroying the payload stops its request stream (ClientRun::stop).
 class InferenceClientPayload final : public core::TaskPayload {
  public:
   explicit InferenceClientPayload(const core::TaskDescription& desc);
+  ~InferenceClientPayload() override;
 
   void run(core::ExecutionContext& ctx, DoneFn done, FailFn fail) override;
 
  private:
   core::TaskDescription desc_;
+  std::weak_ptr<ClientRun> run_;
 };
 
 }  // namespace ripple::ml

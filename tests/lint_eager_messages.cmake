@@ -1,7 +1,8 @@
-# Fails when strutil::cat() formats the message of an ensure() or Logger
-# call under SRC_DIR. Those calls take the message parts themselves and
-# format them only when the check fails or the record is emitted, so a
-# pre-formatted message costs an std::ostringstream on every pass.
+# Fails when a strutil::cat(), std::to_string() or format_*() call is
+# passed to an ensure() or Logger call under SRC_DIR. Those calls take
+# the message parts themselves and format them only when the check fails
+# or the record is emitted, so a pre-formatted part allocates a string
+# on every pass.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/lint_eager_messages.cmake
 
@@ -11,7 +12,8 @@ if(NOT SRC_DIR OR NOT IS_DIRECTORY "${SRC_DIR}")
 endif()
 
 file(GLOB_RECURSE sources "${SRC_DIR}/*.cpp" "${SRC_DIR}/*.hpp")
-set(call "([^A-Za-z0-9_]ensure|(\\.|->)(trace|debug|info|warn|error))\\(")
+set(call "([^A-Za-z0-9_]ensure|(\\.|->)(log|trace|debug|info|warn|error))\\(")
+set(eager "(strutil::cat|std::to_string|format_[a-z_]+)\\(")
 set(offenders 0)
 foreach(source IN LISTS sources)
   file(READ "${source}" text)
@@ -20,11 +22,11 @@ foreach(source IN LISTS sources)
   string(REGEX REPLACE "'([^'\\\\]|\\\\.)'" "''" text "${text}")
   string(REGEX REPLACE "\"([^\"\\\\]|\\\\.)*\"" "\"\"" text "${text}")
   string(REGEX REPLACE "//[^\n]*" "" text "${text}")
-  string(REGEX MATCHALL "${call}[^;]*strutil::cat\\(" hits "${text}")
+  string(REGEX MATCHALL "${call}[^;]*${eager}" hits "${text}")
   foreach(hit IN LISTS hits)
     string(REGEX REPLACE "[ \n]+" " " hit "${hit}")
     file(RELATIVE_PATH where "${SRC_DIR}" "${source}")
-    message("${where}: pass the parts, not strutil::cat():${hit}")
+    message("${where}: pass the parts, not a formatted string:${hit}")
     math(EXPR offenders "${offenders} + 1")
   endforeach()
 endforeach()

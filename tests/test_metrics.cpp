@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "ripple/common/error.hpp"
@@ -348,10 +349,22 @@ TEST(Tracer, LanesCommitInMergeKeyOrder) {
 TEST(Counters, DisabledIsInert) {
   Counters counters;
   counters.add("task.done");
+  counters.add("sched.grants.", std::string("alice"));
   counters.set_value("ml.batch_fill", 8.0);
   counters.sample(1.0);
   EXPECT_EQ(counters.value("task.done"), 0.0);
+  EXPECT_TRUE(counters.values().empty());
   EXPECT_TRUE(counters.samples().empty());
+}
+
+TEST(Counters, PrefixSuffixNamesOneCounter) {
+  Counters counters;
+  counters.set_enabled(true);
+  const std::string tenant = "alice";
+  counters.add("sched.grants.", tenant);
+  counters.add("sched.grants.", tenant, 2.0);
+  EXPECT_DOUBLE_EQ(counters.value("sched.grants.alice"), 3.0);
+  EXPECT_EQ(counters.values().size(), 1u);
 }
 
 TEST(Counters, AddSetAndSample) {

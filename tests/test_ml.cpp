@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "ripple/common/error.hpp"
+#include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/ml/autoscaler.hpp"
 #include "ripple/ml/client.hpp"
@@ -16,6 +17,7 @@
 #include "ripple/ml/model.hpp"
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
+#include "ripple/sim/failure_injector.hpp"
 
 namespace {
 
@@ -638,6 +640,61 @@ TEST(ClientWatch, RetryReconcilesDirectoryDriftMidBackoff) {
   ASSERT_EQ(task.state(), core::TaskState::done);
   EXPECT_EQ(task.result().get_or("ok", json::Value(0)).as_int(), 4);
   EXPECT_GT(task.result().get_or("retried", json::Value(0)).as_int(), 0);
+}
+
+TEST(ClientPreemption, NoSurvivorFailsTaskWithRequestsInFlight) {
+  // The client's pilot is preempted while its requests are queued at a
+  // server on another pilot whose nodes are too small to take the task.
+  // The task fails and its execution context is released; the replies
+  // and timeouts still in flight must drop themselves without touching
+  // it (checked under AddressSanitizer).
+  core::Session session({.seed = 29});
+  ml::install(session);
+  session.add_platform(platform::delta_profile(1));
+  session.add_platform(platform::r3_profile(1));
+  auto& serving = session.submit_pilot({.platform = "r3", .nodes = 1});
+  auto& computing = session.submit_pilot({.platform = "delta", .nodes = 1});
+  (void)slo_model("preempt-slow", 2.0);
+
+  core::ServiceDescription svc;
+  svc.name = "slow";
+  svc.program = "inference";
+  svc.config = json::Value::object({{"model", "preempt-slow"}});
+  svc.gpus = 1;
+  const std::string server = session.services().submit(serving, svc);
+
+  std::string task_uid;
+  session.services().when_ready({server}, [&](bool ok) {
+    ASSERT_TRUE(ok);
+    core::TaskDescription task;
+    task.kind = "inference_client";
+    task.cores = 64;  // r3 nodes have 48 cores: no survivor fits
+    task.payload = json::Value::object(
+        {{"endpoints", json::Value::array(
+                           {session.services().get(server).endpoint()})},
+         {"requests", 8},
+         {"concurrency", 4},
+         {"series", "preempted"},
+         {"timeout", 7.0},
+         {"watch", "slow"}});
+    task_uid = session.tasks().submit(computing, task);
+    session.tasks().when_done({task_uid}, [&](bool) {
+      // Keep the server up past every in-flight reply and timeout.
+      session.loop().call_after(
+          20.0, [&session] { session.services().stop_all(); });
+    });
+    session.failures().injector().inject_at(
+        session.now() + 6.0, sim::FailureKind::pilot_preempt,
+        computing.uid());
+  });
+  session.run();
+
+  const core::Task& task = session.tasks().get(task_uid);
+  ASSERT_EQ(task.state(), core::TaskState::failed);
+  EXPECT_NE(task.error().find("no surviving pilot fits"), std::string::npos);
+  const double running = task.state_time(core::TaskState::running);
+  EXPECT_GE(running, 0.0);
+  EXPECT_LT(running, task.state_time(core::TaskState::failed));
 }
 
 }  // namespace
