@@ -40,6 +40,29 @@ void BM_EventLoopPostRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopPostRun);
 
+// The RPC-timeout and decode-timer pattern: arm timers, cancel most of
+// them before they fire, then run. Cancellation is a generation check
+// plus a flag on the event's slot; the cancelled keys drop out as they
+// reach the front of the heap.
+void BM_EventLoopTimerCancel(benchmark::State& state) {
+  std::vector<sim::EventLoop::TimerHandle> handles(1000);
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    int fired = 0;
+    for (int i = 0; i < 1000; ++i) {
+      handles[static_cast<std::size_t>(i)] = loop.call_after(
+          static_cast<double>(i % 97) * 1e-3, [&fired] { ++fired; });
+    }
+    for (int i = 0; i < 1000; ++i) {
+      if (i % 10 != 0) loop.cancel(handles[static_cast<std::size_t>(i)]);
+    }
+    benchmark::DoNotOptimize(loop.run());
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventLoopTimerCancel);
+
 // The event-loop Callback is a small-buffer-optimized move-only type
 // (sim::UniqueCallback): captures up to 64 bytes live inline in the
 // event, where std::function heap-allocates anything beyond its tiny
@@ -208,6 +231,25 @@ void BM_SchedulerCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_SchedulerCycle);
+
+// One task's six state transitions (CREATED through DONE) through the
+// TaskManager on a warm session: each records a Timeline entry and posts
+// the waiting-task recheck. Items are transitions.
+void BM_TaskTransitions(benchmark::State& state) {
+  core::Session session({.seed = 3});
+  session.add_platform(platform::delta_profile(1));
+  auto& pilot = session.submit_pilot({.platform = "delta", .nodes = 1});
+  core::TaskDescription desc;
+  desc.cores = 1;
+  desc.duration = common::Distribution::constant(0.01);
+  session.run();
+  for (auto _ : state) {
+    session.tasks().submit(pilot, desc);
+    benchmark::DoNotOptimize(session.run());
+  }
+  state.SetItemsProcessed(state.iterations() * 6);
+}
+BENCHMARK(BM_TaskTransitions);
 
 void BM_SummaryQuantiles(benchmark::State& state) {
   common::Rng rng(9);

@@ -7,21 +7,16 @@ Runtime::Runtime(std::uint64_t seed)
       rng_(seed),
       network_(loop_, rng_.fork("network")),
       router_(loop_, network_),
-      pubsub_(loop_),
-      timeline_(pubsub_) {}
+      pubsub_(loop_) {}
 
 common::Logger Runtime::make_logger(const std::string& name) {
   return common::Logger(name, [this] { return loop_.now(); });
 }
 
-void Runtime::publish_state(const std::string& kind, const std::string& uid,
-                            const std::string& state) {
-  json::Value event = json::Value::object();
-  event.set("kind", kind);
-  event.set("uid", uid);
-  event.set("state", state);
-  event.set("time", loop_.now());
-  pubsub_.publish("state", std::move(event));
+void Runtime::publish_state(std::string_view kind, const std::string& uid,
+                            std::string_view state) {
+  timeline_.record(metrics::TransitionRecord{uid, std::string(kind),
+                                             std::string(state), loop_.now()});
 }
 
 void Runtime::register_endpoint(const std::string& name,

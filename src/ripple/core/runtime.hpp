@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ripple/common/ids.hpp"
@@ -55,10 +56,12 @@ class Runtime {
     return ids_.next(prefix);
   }
 
-  /// Publishes an entity state transition on the "state" topic; the
-  /// Timeline (and any user subscriber) receives it asynchronously.
-  void publish_state(const std::string& kind, const std::string& uid,
-                     const std::string& state);
+  /// Records an entity state transition: appends a typed record,
+  /// stamped with the current simulation time, to the Timeline. Nothing
+  /// is published or posted; the managers that react to transitions
+  /// (TaskManager's waiting-task recheck) post their own work.
+  void publish_state(std::string_view kind, const std::string& uid,
+                     std::string_view state);
 
   /// Live endpoint directory, updated *synchronously* by the
   /// ServiceManager as services enter/leave RUNNING (the matching

@@ -195,8 +195,7 @@ json::Value ServiceManager::stats(const std::string& uid) const {
 void ServiceManager::set_state(Active& active, ServiceState state) {
   const ServiceState previous = active.service->state();
   active.service->set_state(state, runtime_.loop().now());
-  runtime_.publish_state("service", active.service->uid(),
-                         to_string(state));
+  record_transition(active.service->uid(), state);
   // Endpoint registry events: entering RUNNING registers the endpoint,
   // leaving it (drain, stop, failure) deregisters it. Subscribers
   // (balancing clients, the autoscaler) reroute traffic accordingly.
@@ -208,6 +207,12 @@ void ServiceManager::set_state(Active& active, ServiceState state) {
     publish_endpoint_event(active, /*up=*/false);
   }
   recheck_watchers();
+}
+
+void ServiceManager::record_transition(const std::string& uid,
+                                       ServiceState state) {
+  runtime_.publish_state("service", uid, to_string(state));
+  if (on_transition_) on_transition_();
 }
 
 void ServiceManager::publish_endpoint_event(const Active& active, bool up) {
@@ -320,7 +325,7 @@ std::string ServiceManager::create_service(Pilot& pilot,
   ensure_registry(pilot.cluster());
   auto [it, inserted] = services_.emplace(uid, std::move(active));
   ensure(inserted, Errc::internal, "duplicate service uid");
-  runtime_.publish_state("service", uid, to_string(ServiceState::created));
+  record_transition(uid, ServiceState::created);
 
   // Readiness timeout covers the whole bootstrap.
   it->second.ready_timer = runtime_.loop().call_after(
@@ -591,7 +596,7 @@ std::string ServiceManager::register_remote(platform::Cluster& cluster,
   active.host = cluster.node(node_index).host();
   auto [it, inserted] = services_.emplace(uid, std::move(active));
   ensure(inserted, Errc::internal, "duplicate service uid");
-  runtime_.publish_state("service", uid, to_string(ServiceState::created));
+  record_transition(uid, ServiceState::created);
 
   Active& stored = it->second;
   stored.program =

@@ -123,6 +123,13 @@ class ServiceManager {
   /// Per-service stats: state, endpoint, bootstrap timing, program stats.
   [[nodiscard]] json::Value stats(const std::string& uid) const;
 
+  /// Runs `hook` right after every service state transition is
+  /// recorded. TaskManager posts its waiting-task recheck from it, since
+  /// a task may be waiting for a service to become RUNNING.
+  void on_transition(std::function<void()> hook) {
+    on_transition_ = std::move(hook);
+  }
+
  private:
   struct Active {
     std::unique_ptr<Service> service;
@@ -167,6 +174,8 @@ class ServiceManager {
   void fail_service(const std::string& uid, const std::string& error);
   void release_resources(Active& active);
   void set_state(Active& active, ServiceState state);
+  /// Records the transition on the Timeline and runs the hook.
+  void record_transition(const std::string& uid, ServiceState state);
   void recheck_watchers();
 
   /// Publishes an endpoint up/down event on the "endpoints" topic.
@@ -199,6 +208,7 @@ class ServiceManager {
   std::map<std::string, Active> services_;
   std::map<std::string, std::unique_ptr<msg::RpcServer>> registries_;
   std::vector<ReadyWatcher> watchers_;
+  std::function<void()> on_transition_;
 };
 
 }  // namespace ripple::core

@@ -37,13 +37,8 @@ TaskManager::TaskManager(Runtime& runtime, Scheduler& scheduler,
       services_(services),
       log_(runtime.make_logger("task_manager")),
       restart_rng_(runtime.rng().fork("task_restart")) {
-  // Re-evaluate waiting tasks whenever any entity changes state: a
-  // dependency may have completed or a required service become RUNNING.
-  runtime_.pubsub().subscribe(
-      "state", [this](const std::string&, const json::Value& event) {
-        const std::string kind = event.at("kind").as_string();
-        if (kind == "task" || kind == "service") recheck_waiting();
-      });
+  // A required service may have become RUNNING.
+  services_.on_transition([this] { post_recheck_waiting(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -96,8 +91,20 @@ std::size_t TaskManager::count_in_state(TaskState state) const {
 
 void TaskManager::set_state(Active& active, TaskState state) {
   active.task->set_state(state, runtime_.loop().now());
-  runtime_.publish_state("task", active.task->uid(), to_string(state));
+  record_transition(active.task->uid(), state);
   if (is_terminal(state)) recheck_watchers();
+}
+
+void TaskManager::record_transition(const std::string& uid, TaskState state) {
+  runtime_.publish_state("task", uid, to_string(state));
+  post_recheck_waiting();
+}
+
+void TaskManager::post_recheck_waiting() {
+  // Posted, not called: a transition happens mid-event, before the
+  // caller has finished its bookkeeping; waiting tasks are re-evaluated
+  // once the current event has returned.
+  runtime_.loop().post([this] { recheck_waiting(); });
 }
 
 void TaskManager::recheck_watchers() {
@@ -163,7 +170,7 @@ std::string TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
   }
   runtime_.counters().add("task.submitted");
   tasks_.emplace(uid, std::move(active));
-  runtime_.publish_state("task", uid, to_string(TaskState::created));
+  record_transition(uid, TaskState::created);
   return uid;
 }
 

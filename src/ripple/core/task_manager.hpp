@@ -247,6 +247,10 @@ class TaskManager {
   void release_slot(Active& active);
   void release_input_pins(Active& active);
   void set_state(Active& active, TaskState state);
+  /// Records the transition on the Timeline and posts a recheck of the
+  /// waiting tasks: a dependency may have completed.
+  void record_transition(const std::string& uid, TaskState state);
+  void post_recheck_waiting();
   void recheck_waiting();
   void recheck_watchers();
 

@@ -1,50 +1,69 @@
 #include "ripple/metrics/timeline.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "ripple/common/error.hpp"
 
 namespace ripple::metrics {
 
-Timeline::Timeline(msg::PubSub& bus) {
-  bus.subscribe("state", [this](const std::string&, const json::Value& event) {
-    TransitionRecord record;
-    record.entity = event.at("uid").as_string();
-    record.kind = event.at("kind").as_string();
-    record.state = event.at("state").as_string();
-    record.time = event.at("time").as_double();
-    this->record(std::move(record));
-  });
+void Timeline::record(TransitionRecord record) {
+  const auto index = static_cast<std::uint32_t>(records_.size());
+  const auto [it, inserted] = latest_.try_emplace(record.entity, index);
+  previous_.push_back(inserted ? kNone : it->second);
+  it->second = index;
+  records_.push_back(std::move(record));
 }
 
-void Timeline::record(TransitionRecord record) {
-  entries_[{record.entity, record.state}].push_back(record.time);
-  records_.push_back(std::move(record));
+template <typename Visit>
+void Timeline::for_each_entry(const std::string& entity,
+                              const std::string& state, Visit visit) const {
+  const auto it = latest_.find(entity);
+  if (it == latest_.end()) return;
+  for (std::uint32_t i = it->second; i != kNone; i = previous_[i]) {
+    if (records_[i].state == state && !visit(records_[i])) return;
+  }
 }
 
 double Timeline::state_time(const std::string& entity,
                             const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? -1.0 : it->second.front();
+  double first = -1.0;
+  for_each_entry(entity, state, [&](const TransitionRecord& record) {
+    first = record.time;
+    return true;
+  });
+  return first;
 }
 
-const std::vector<double>& Timeline::state_times(
-    const std::string& entity, const std::string& state) const {
-  static const std::vector<double> kEmpty;
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? kEmpty : it->second;
+std::vector<double> Timeline::state_times(const std::string& entity,
+                                          const std::string& state) const {
+  std::vector<double> times;
+  for_each_entry(entity, state, [&](const TransitionRecord& record) {
+    times.push_back(record.time);
+    return true;
+  });
+  std::reverse(times.begin(), times.end());
+  return times;
 }
 
 double Timeline::last_state_time(const std::string& entity,
                                  const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? -1.0 : it->second.back();
+  double last = -1.0;
+  for_each_entry(entity, state, [&](const TransitionRecord& record) {
+    last = record.time;
+    return false;
+  });
+  return last;
 }
 
 std::size_t Timeline::entry_count(const std::string& entity,
                                   const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? 0 : it->second.size();
+  std::size_t n = 0;
+  for_each_entry(entity, state, [&](const TransitionRecord&) {
+    ++n;
+    return true;
+  });
+  return n;
 }
 
 double Timeline::duration(const std::string& entity, const std::string& from,
@@ -82,7 +101,8 @@ std::vector<std::string> Timeline::entities_in(const std::string& kind,
 
 void Timeline::clear() {
   records_.clear();
-  entries_.clear();
+  previous_.clear();
+  latest_.clear();
 }
 
 }  // namespace ripple::metrics

@@ -1,22 +1,27 @@
 #pragma once
 
 /// \file timeline.hpp
-/// State-transition timeline, fed by the runtime's pub/sub bus.
+/// State-transition timeline, appended to directly by the runtime.
 ///
 /// Mirrors RADICAL-Analytics: every entity (pilot, task, service)
-/// publishes timestamped state transitions; the Timeline records every
+/// reports timestamped state transitions through
+/// core::Runtime::publish_state, which appends a typed record here at
+/// the moment of the transition; the Timeline records every
 /// time each entity entered each state and answers duration queries
 /// such as "time from LAUNCHING to RUNNING of service X". Entities may
 /// re-enter a state (a task restarted after a node crash runs twice);
 /// state_time() keeps its historical first-entry semantics while
 /// state_times()/last_state_time()/entry_count() expose the full
 /// history.
+///
+/// Records are indexed by entity: each one links to its entity's
+/// previous record, so appending costs one hash lookup and the
+/// per-entity queries walk only that entity's history.
 
-#include <map>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
-
-#include "ripple/msg/pubsub.hpp"
 
 namespace ripple::metrics {
 
@@ -29,10 +34,7 @@ struct TransitionRecord {
 
 class Timeline {
  public:
-  /// Subscribes to the "state" topic of `bus`.
-  explicit Timeline(msg::PubSub& bus);
-
-  /// Records a transition directly (bypassing the bus).
+  /// Appends a transition.
   void record(TransitionRecord record);
 
   [[nodiscard]] const std::vector<TransitionRecord>& records() const noexcept {
@@ -45,7 +47,7 @@ class Timeline {
 
   /// Every time `entity` entered `state`, in record order; empty when
   /// never. Restarted/speculated tasks enter RUNNING more than once.
-  [[nodiscard]] const std::vector<double>& state_times(
+  [[nodiscard]] std::vector<double> state_times(
       const std::string& entity, const std::string& state) const;
 
   /// Most recent time `entity` entered `state`; -1 when never.
@@ -72,9 +74,19 @@ class Timeline {
   void clear();
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Calls `visit(record)` for each of `entity`'s records in `state`,
+  /// newest first, until it returns false.
+  template <typename Visit>
+  void for_each_entry(const std::string& entity, const std::string& state,
+                      Visit visit) const;
+
   std::vector<TransitionRecord> records_;
-  // (entity, state) -> every entry time, in record order
-  std::map<std::pair<std::string, std::string>, std::vector<double>> entries_;
+  /// Per record: index of the same entity's previous record, or kNone.
+  std::vector<std::uint32_t> previous_;
+  /// entity -> index of its latest record
+  std::unordered_map<std::string, std::uint32_t> latest_;
 };
 
 }  // namespace ripple::metrics

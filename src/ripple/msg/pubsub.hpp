@@ -1,10 +1,13 @@
 #pragma once
 
 /// \file pubsub.hpp
-/// In-process publish/subscribe bus for control and state updates.
+/// In-process publish/subscribe bus for control updates.
 ///
-/// Plays the role of RADICAL-Pilot's state-update channels (Fig. 2 of
-/// the paper, "Comm. Queue"). Delivery is asynchronous through the event
+/// Plays the role of RADICAL-Pilot's update channels (Fig. 2 of the
+/// paper, "Comm. Queue"); the runtime publishes endpoint up/down events
+/// on the "endpoints" topic. State transitions do not travel here: they
+/// are appended to metrics::Timeline directly. Delivery is asynchronous
+/// through the event
 /// loop — subscribers run after the publisher's current event completes,
 /// in subscription order — which keeps update handling deterministic.
 

@@ -7,16 +7,48 @@
 
 namespace ripple::sim {
 
+EventLoop::~EventLoop() {
+  // Destroy queued callbacks while the slab is intact: a capture's
+  // destructor may still cancel() through a handle it owns.
+  for (std::uint32_t i = 0; i < slots_used_; ++i) {
+    Slot& s = slot(i);
+    retire(s);
+    s.callback = nullptr;
+  }
+}
+
+std::uint32_t EventLoop::acquire_slot(Callback callback) {
+  std::uint32_t index = free_head_;
+  if (index != kNoSlot) {
+    free_head_ = slot(index).next_free;
+  } else {
+    ensure(slots_used_ < kNoSlot, Errc::capacity,
+           "event loop: too many pending events");
+    if ((slots_used_ & (kChunkSize - 1)) == 0) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+    }
+    index = slots_used_++;
+  }
+  slot(index).callback = std::move(callback);
+  return index;
+}
+
+void EventLoop::release_slot(std::uint32_t index) noexcept {
+  Slot& s = slot(index);
+  s.callback = nullptr;
+  s.next_free = free_head_;
+  free_head_ = index;
+}
+
 EventLoop::TimerHandle EventLoop::call_at(SimTime when, Callback callback) {
   ensure(static_cast<bool>(callback), Errc::invalid_argument,
          "call_at: empty callback");
   ensure(when >= now_, Errc::invalid_argument, "call_at: time ", when,
          " is in the past (now=", now_, ")");
-  const std::uint64_t id = next_id_++;
-  heap_.push(Event{when, next_sequence_++, id, std::move(callback)});
-  live_.insert(id);
+  const std::uint32_t index = acquire_slot(std::move(callback));
+  heap_.push(Key{when, next_sequence_++, index});
   peak_pending_ = std::max(peak_pending_, pending());
-  return TimerHandle{id};
+  return handle_of(index);
 }
 
 EventLoop::TimerHandle EventLoop::call_after(Duration delay,
@@ -32,11 +64,10 @@ EventLoop::TimerHandle EventLoop::post(Callback callback) {
   // Same-time events always run before any strictly later event, and the
   // now-queue is FIFO by construction, so an O(1) deque push preserves
   // the exact (time, sequence) order the heap would have produced.
-  const std::uint64_t id = next_id_++;
-  now_queue_.push_back(Event{now_, next_sequence_++, id, std::move(callback)});
-  live_.insert(id);
+  const std::uint32_t index = acquire_slot(std::move(callback));
+  now_queue_.push_back(Key{now_, next_sequence_++, index});
   peak_pending_ = std::max(peak_pending_, pending());
-  return TimerHandle{id};
+  return handle_of(index);
 }
 
 void EventLoop::post_external(Callback callback) {
@@ -57,7 +88,7 @@ void EventLoop::drain_external() {
     drained.swap(external_);
     has_external_.store(false, std::memory_order_relaxed);
   }
-  // Ids and sequences are assigned on the loop thread, in drain order,
+  // Slots and sequences are assigned on the loop thread, in drain order,
   // so once an external callback is in, it behaves exactly like a
   // post()ed event.
   for (Callback& callback : drained) {
@@ -67,23 +98,48 @@ void EventLoop::drain_external() {
 
 bool EventLoop::cancel(TimerHandle handle) {
   if (!handle.valid()) return false;
-  // Events stay queued; execution skips cancelled ids. Only ids still
-  // queued may enter `cancelled_` — an id of an event that already ran
-  // would never be popped and would leak.
-  if (live_.count(handle.id) == 0) return false;
-  return cancelled_.insert(handle.id).second;
+  // The key stays queued; the flag makes the skim drop it. A handle
+  // whose event fired, is firing or was skimmed carries an old
+  // generation, even once the slot holds a newer event.
+  const auto index = static_cast<std::uint32_t>(handle.id);
+  const auto generation = static_cast<std::uint32_t>(handle.id >> 32);
+  if (index >= slots_used_) return false;
+  Slot& s = slot(index);
+  if (s.generation != generation || s.cancelled) return false;
+  s.cancelled = true;
+  ++cancelled_;
+  return true;
 }
 
 void EventLoop::skim_cancelled() {
-  while (!now_queue_.empty() &&
-         cancelled_.erase(now_queue_.front().id) > 0) {
-    live_.erase(now_queue_.front().id);
+  if (cancelled_ == 0) return;
+  const auto skim = [this](std::uint32_t index) {
+    Slot& s = slot(index);
+    if (!s.cancelled) return false;
+    retire(s);
+    --cancelled_;
+    release_slot(index);
+    return true;
+  };
+  while (!now_queue_.empty() && skim(now_queue_.front().slot)) {
     now_queue_.pop_front();
   }
-  while (!heap_.empty() && cancelled_.erase(heap_.top().id) > 0) {
-    live_.erase(heap_.top().id);
-    heap_.pop();
-  }
+  while (!heap_.empty() && skim(heap_.top().slot)) heap_.pop();
+}
+
+void EventLoop::fire(const Key& key) {
+  Slot& s = slot(key.slot);
+  retire(s);  // a cancel() from inside the callback finds it gone
+  now_ = key.time;
+  ++processed_;
+  // Chunks never move, so the callback runs in place; its slot joins the
+  // free list only once it has returned (or thrown).
+  struct Release {
+    EventLoop& loop;
+    std::uint32_t index;
+    ~Release() { loop.release_slot(index); }
+  } release{*this, key.slot};
+  s.callback();
 }
 
 bool EventLoop::step(SimTime deadline) {
@@ -96,32 +152,26 @@ bool EventLoop::step(SimTime deadline) {
   if (!have_now && !have_heap) return false;
   bool from_now = have_now;
   if (have_now && have_heap) {
-    const Event& n = now_queue_.front();
-    const Event& h = heap_.top();
+    const Key& n = now_queue_.front();
+    const Key& h = heap_.top();
     from_now =
         n.time < h.time || (n.time == h.time && n.sequence < h.sequence);
   }
 
+  // Pop before firing so re-entrant posting from inside the callback
+  // sees a consistent queue.
   if (from_now) {
-    if (now_queue_.front().time > deadline) return false;
-    // Move the event out before popping so re-entrant posting from
-    // inside the callback sees a consistent queue.
-    Event event = std::move(now_queue_.front());
+    const Key key = now_queue_.front();
+    if (key.time > deadline) return false;
     now_queue_.pop_front();
-    live_.erase(event.id);
-    now_ = event.time;
-    ++processed_;
-    event.callback();
+    fire(key);
     return true;
   }
 
-  if (heap_.top().time > deadline) return false;
-  Event event = std::move(const_cast<Event&>(heap_.top()));
+  const Key key = heap_.top();
+  if (key.time > deadline) return false;
   heap_.pop();
-  live_.erase(event.id);
-  now_ = event.time;
-  ++processed_;
-  event.callback();
+  fire(key);
   return true;
 }
 

@@ -10,18 +10,27 @@
 ///
 /// post() — scheduling at the current time — bypasses the heap through a
 /// FIFO now-queue: O(1) instead of O(log pending), which matters because
-/// grant callbacks, pub/sub deliveries and reply dispatches are all
+/// grant callbacks, state-driven rechecks and reply dispatches are all
 /// same-time posts and dominate small-point service latency. Ordering is
 /// unchanged: the global (time, sequence) order decides between the
 /// now-queue front and the heap top, so traces stay bit-identical to the
 /// heap-only implementation.
+///
+/// Callbacks live in a slab of slots reused through a free list; the heap
+/// and the now-queue only move 24-byte (time, sequence, slot) keys. A
+/// TimerHandle names a (slot, generation) pair: the generation advances
+/// each time the slot's event fires or is skimmed, so cancel() is a
+/// generation check plus a flag, and a stale handle to a reused slot is
+/// simply rejected. A callback runs in place in its slot and is destroyed
+/// right after it returns; a cancelled one is destroyed when its key
+/// reaches the front of its queue and is skimmed.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "ripple/sim/callback.hpp"
@@ -40,7 +49,14 @@ class EventLoop {
   /// per-event heap allocation (see callback.hpp).
   using Callback = UniqueCallback;
 
-  /// Identifies a scheduled event so it can be cancelled.
+  EventLoop() = default;
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+  /// Destroys every callback still queued.
+  ~EventLoop();
+
+  /// Identifies a scheduled event so it can be cancelled: the slot index
+  /// in the low 32 bits, the slot's generation (never 0) in the high 32.
   struct TimerHandle {
     std::uint64_t id = 0;
     [[nodiscard]] bool valid() const noexcept { return id != 0; }
@@ -70,8 +86,8 @@ class EventLoop {
   /// for real-thread payload integration only. Not cancellable.
   void post_external(Callback callback);
 
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// already cancelled.
+  /// Cancels a pending event. Returns false if it already ran, is running,
+  /// or was already cancelled.
   bool cancel(TimerHandle handle);
 
   /// Runs until the queue is empty. Returns events processed.
@@ -97,7 +113,7 @@ class EventLoop {
   }
 
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + now_queue_.size() - cancelled_.size();
+    return heap_.size() + now_queue_.size() - cancelled_;
   }
 
   /// High-water mark of pending() over the run — the event-loop depth
@@ -106,30 +122,70 @@ class EventLoop {
     return peak_pending_;
   }
 
-  /// Cancelled events still occupying the heap (they drop out when
-  /// popped). Bounded by pending cancellations; exposed for tests.
+  /// Cancelled events still occupying a queue (they drop out when they
+  /// reach its front). Bounded by pending cancellations; exposed for tests.
   [[nodiscard]] std::size_t cancelled_backlog() const noexcept {
-    return cancelled_.size();
+    return cancelled_;
   }
 
  private:
-  struct Event {
+  /// What the heap and the now-queue order; the callback stays in its slot.
+  struct Key {
     SimTime time;
     std::uint64_t sequence;
-    std::uint64_t id;
-    Callback callback;
+    std::uint32_t slot;
   };
 
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.sequence > b.sequence;
     }
   };
 
+  struct Slot {
+    Callback callback;
+    /// Advances when the slot's event fires or is skimmed; never 0.
+    std::uint32_t generation = 1;
+    std::uint32_t next_free = 0;
+    bool cancelled = false;
+  };
+
+  /// Slots live in fixed-size chunks so a running callback keeps its
+  /// address while re-entrant posts grow the slab. Chunks are small (3
+  /// KB): a fresh loop's first event allocates and touches one chunk,
+  /// and a 24 KB one made Session set-up measurably slower.
+  static constexpr std::uint32_t kChunkBits = 5;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+
+  /// Stores `callback` in a free slot and returns the key's slot index.
+  std::uint32_t acquire_slot(Callback callback);
+
+  /// Retires the slot's current event: its handles stop matching.
+  static void retire(Slot& s) noexcept {
+    if (++s.generation == 0) s.generation = 1;
+    s.cancelled = false;
+  }
+
+  /// Destroys a retired slot's callback and returns it to the free list.
+  void release_slot(std::uint32_t index) noexcept;
+
+  [[nodiscard]] TimerHandle handle_of(std::uint32_t index) noexcept {
+    return TimerHandle{
+        (static_cast<std::uint64_t>(slot(index).generation) << 32) | index};
+  }
+
   /// Pops and runs the next live event; returns false when exhausted or
   /// when the next event lies beyond `deadline`.
   bool step(SimTime deadline);
+
+  /// Runs the event under `key`, already popped from its queue.
+  void fire(const Key& key);
 
   /// Moves externally posted callbacks into the now-queue (loop thread
   /// only; called at step boundaries).
@@ -138,15 +194,15 @@ class EventLoop {
   /// Drops cancelled events sitting at the front of either queue.
   void skim_cancelled();
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
   /// Same-time events from post(): FIFO, so already in (time, sequence)
   /// order — now-queue entries never precede the heap's current time.
-  std::deque<Event> now_queue_;
-  /// Ids of events still queued (heap or now-queue). Keeps cancel() from
-  /// recording ids of already-fired events in `cancelled_`, which would
-  /// otherwise accumulate forever in long-running simulations.
-  std::unordered_set<std::uint64_t> live_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::deque<Key> now_queue_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_used_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
+  /// Cancelled events whose keys are still queued.
+  std::size_t cancelled_ = 0;
   /// Cross-thread hand-off inbox (post_external). The flag makes the
   /// common no-external case a single relaxed load per step.
   std::mutex external_mutex_;
@@ -154,7 +210,6 @@ class EventLoop {
   std::atomic<bool> has_external_{false};
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   bool stopped_ = false;

@@ -113,6 +113,11 @@ std::shared_ptr<WorkflowManager::Handle> HyperoptGraph::run(
         report.ok = result.ok && any_completed;
         if (any_completed) report.best = state->search.best();
         on_done(report);
+        // Break the state -> handle -> GraphRun -> hooks -> state cycle.
+        // This runs from the loop's copy of the callback (finish_graph
+        // posts one), so even when the handle is the GraphRun's last
+        // owner, freeing the run here frees only its own copy.
+        state->handle.reset();
       });
   return state->handle;
 }

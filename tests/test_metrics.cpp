@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,6 +13,7 @@
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/json.hpp"
+#include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
 #include "ripple/metrics/chrome_trace.hpp"
 #include "ripple/metrics/counters.hpp"
@@ -89,9 +91,7 @@ TEST(Registry, JsonExportShape) {
 }
 
 TEST(Timeline, RecordsAndQueries) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
+  Timeline timeline;
   timeline.record({"task.0", "task", "RUNNING", 5.0});
   timeline.record({"task.0", "task", "DONE", 8.0});
   timeline.record({"task.1", "task", "RUNNING", 6.0});
@@ -107,9 +107,7 @@ TEST(Timeline, RecordsAndQueries) {
 }
 
 TEST(Timeline, FirstEntryWins) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
+  Timeline timeline;
   timeline.record({"svc.0", "service", "SCHEDULING", 1.0});
   timeline.record({"svc.0", "service", "SCHEDULING", 9.0});  // restart
   EXPECT_DOUBLE_EQ(timeline.state_time("svc.0", "SCHEDULING"), 1.0);
@@ -119,9 +117,7 @@ TEST(Timeline, FirstEntryWins) {
 TEST(Timeline, ReentryHistoryIsKept) {
   // Regression: restarted tasks enter RUNNING more than once; the
   // first-entry index used to be the only record queryable.
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
+  Timeline timeline;
   timeline.record({"task.0", "task", "RUNNING", 5.0});
   timeline.record({"task.0", "task", "RUNNING", 9.0});  // after a crash
   EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 5.0);
@@ -134,18 +130,64 @@ TEST(Timeline, ReentryHistoryIsKept) {
   EXPECT_EQ(timeline.entry_count("task.9", "RUNNING"), 0u);
 }
 
-TEST(Timeline, SubscribesToStateTopic) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
-  json::Value event = json::Value::object();
-  event.set("kind", "task");
-  event.set("uid", "task.7");
-  event.set("state", "DONE");
-  event.set("time", 3.25);
-  bus.publish("state", event);
-  loop.run();
-  EXPECT_DOUBLE_EQ(timeline.state_time("task.7", "DONE"), 3.25);
+// The per-entity index must answer every query exactly as a linear
+// scan of records() does, on random streams with re-entries.
+TEST(Timeline, IndexMatchesLinearScan) {
+  const std::vector<std::string> entities = {"task.000000", "task.000001",
+                                             "svc.000000", "pilot.000000",
+                                             "task.000002"};
+  const std::vector<std::string> kinds = {"task", "task", "service", "pilot",
+                                          "task"};
+  const std::vector<std::string> states = {"NEW", "RUNNING", "DONE",
+                                           "FAILED"};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    common::Rng rng(seed);
+    Timeline timeline;
+    double now = 0.0;
+    const int n = static_cast<int>(rng.uniform_int(0, 60));
+    for (int i = 0; i < n; ++i) {
+      const auto e = static_cast<std::size_t>(rng.uniform_int(0, 4));
+      const auto st = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      now += rng.uniform_int(0, 2) * 0.5;  // ties included
+      timeline.record({entities[e], kinds[e], states[st], now});
+    }
+    const auto& records = timeline.records();
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(n));
+    for (std::size_t e = 0; e < entities.size() + 1; ++e) {
+      const std::string entity =
+          e < entities.size() ? entities[e] : std::string("task.999999");
+      for (const auto& state : states) {
+        std::vector<double> times;
+        for (const auto& r : records) {
+          if (r.entity == entity && r.state == state) times.push_back(r.time);
+        }
+        SCOPED_TRACE(entity + " " + state);
+        EXPECT_EQ(timeline.state_times(entity, state), times);
+        EXPECT_EQ(timeline.entry_count(entity, state), times.size());
+        EXPECT_EQ(timeline.state_time(entity, state),
+                  times.empty() ? -1.0 : times.front());
+        EXPECT_EQ(timeline.last_state_time(entity, state),
+                  times.empty() ? -1.0 : times.back());
+      }
+    }
+    for (const std::string kind : {"task", "service", "pilot", "none"}) {
+      for (const auto& state : states) {
+        std::vector<std::string> firsts;
+        for (const auto& r : records) {
+          if (r.kind == kind && r.state == state &&
+              std::find(firsts.begin(), firsts.end(), r.entity) ==
+                  firsts.end()) {
+            firsts.push_back(r.entity);
+          }
+        }
+        EXPECT_EQ(timeline.entities_in(kind, state), firsts);
+        EXPECT_EQ(timeline.count(kind, state), firsts.size());
+      }
+    }
+    timeline.clear();
+    EXPECT_EQ(timeline.entry_count(entities[0], "NEW"), 0u);
+    EXPECT_EQ(timeline.state_time(entities[0], "NEW"), -1.0);
+  }
 }
 
 TEST(Table, AlignmentAndCsv) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "ripple/common/error.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/ml/install.hpp"
@@ -297,6 +299,49 @@ TEST_F(TaskManagerTest, ConcurrencyBoundedByResources) {
   }
   EXPECT_LE(peak, 8);
   EXPECT_GE(peak, 7);  // and the scheduler actually packs the machine
+}
+
+}  // namespace
+
+namespace {
+
+// Transitions reach the Timeline as typed records appended at the
+// transition itself: the same records, in the same order and at the same
+// times as when they travelled over the pub/sub bus, and nothing is
+// published.
+TEST_F(TaskManagerTest, TimelineRecordsTransitionsWithoutTheBus) {
+  const auto uid = session.tasks().submit(*pilot, quick_task(2.5));
+  session.run();
+  ASSERT_EQ(session.tasks().get(uid).state(), TaskState::done);
+
+  struct Expected {
+    const char* kind;
+    const char* entity;
+    const char* state;
+    double time;
+  };
+  const Expected expected[] = {
+      {"pilot", "pilot.000000", "CREATED", 0.0},
+      {"task", "task.000000", "CREATED", 0.0},
+      {"pilot", "pilot.000000", "ACTIVE", 0.0},
+      {"task", "task.000000", "SCHEDULING", 0.0},
+      {"task", "task.000000", "SCHEDULED", 0.0},
+      {"task", "task.000000", "LAUNCHING", 0.0},
+      {"task", "task.000000", "RUNNING", 2.2250822446411358},
+      {"task", "task.000000", "DONE", 4.7250822446411362},
+  };
+  const auto& records = session.timeline().records();
+  ASSERT_EQ(records.size(), std::size(expected));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(records[i].kind, expected[i].kind);
+    EXPECT_EQ(records[i].entity, expected[i].entity);
+    EXPECT_EQ(records[i].state, expected[i].state);
+    EXPECT_EQ(records[i].time, expected[i].time);
+  }
+  EXPECT_EQ(session.timeline().entry_count(uid, "DONE"), 1u);
+  // No service came up, so nothing (no "endpoints" event) was published.
+  EXPECT_EQ(session.runtime().pubsub().published(), 0u);
 }
 
 }  // namespace

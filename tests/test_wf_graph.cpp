@@ -395,12 +395,7 @@ TEST(GraphFailures, RestartedSpawnerDoesNotDoubleSpawn) {
 
 // --- hyperopt as a dynamically-spawned graph -------------------------------
 
-HyperoptGraph::Report run_hyperopt(std::uint64_t seed) {
-  Session session{SessionConfig{.seed = seed}};
-  session.add_platform(platform::delta_profile(4));
-  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
-  WorkflowManager workflows(session);
-
+HyperoptGraph::Config hyperopt_config() {
   HyperoptGraph::Config config;
   config.name = "hpo";
   config.space = {ParamSpec::log_real("lr", 1e-5, 1e-2),
@@ -419,13 +414,53 @@ HyperoptGraph::Report run_hyperopt(std::uint64_t seed) {
         trial.params.get_or("dropout", json::Value(0.0)).as_double();
     return std::abs(std::log10(lr) + 3.5) + dropout;
   };
+  return config;
+}
+
+HyperoptGraph::Report run_hyperopt(std::uint64_t seed) {
+  Session session{SessionConfig{.seed = seed}};
+  session.add_platform(platform::delta_profile(4));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
+  WorkflowManager workflows(session);
 
   HyperoptGraph::Report report;
-  HyperoptGraph::run(workflows, pilot, config,
+  HyperoptGraph::run(workflows, pilot, hyperopt_config(),
                      session.runtime().rng().fork("hpo"),
                      [&](const HyperoptGraph::Report& r) { report = r; });
   session.run();
   return report;
+}
+
+// The search state, the run's Handle and its GraphRun must not keep each
+// other alive: once the search has reported and the caller drops the
+// returned handle, all of it is freed.
+TEST(GraphHyperopt, RunIsFreedOnceFinishedAndHandleDropped) {
+  Session session{SessionConfig{.seed = 101}};
+  session.add_platform(platform::delta_profile(4));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
+  WorkflowManager workflows(session);
+
+  HyperoptGraph::Config config = hyperopt_config();
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> state_alive = token;
+  // The search state owns its config, so the token lives as long as it.
+  config.make_task = [token, make = config.make_task](const Trial& trial) {
+    return make(trial);
+  };
+  token.reset();
+
+  bool ok = false;
+  auto handle = HyperoptGraph::run(
+      workflows, pilot, std::move(config), session.runtime().rng().fork("hpo"),
+      [&](const HyperoptGraph::Report& r) { ok = r.ok; });
+  const std::weak_ptr<WorkflowManager::Handle> run_alive = handle;
+  session.run();
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(handle->finished());
+  EXPECT_FALSE(state_alive.expired());  // no hook has run out yet...
+  handle.reset();
+  EXPECT_TRUE(run_alive.expired());  // ...until the caller lets go
+  EXPECT_TRUE(state_alive.expired());
 }
 
 TEST(GraphHyperopt, RunsAsDynamicallySpawnedGraph) {
