@@ -7,17 +7,21 @@
 // "minimal" relative to the modeled network and model costs.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ripple/common/json.hpp"
 #include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
+#include "ripple/common/strutil.hpp"
 #include "ripple/core/session.hpp"
+#include "ripple/metrics/timeline.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
@@ -250,6 +254,51 @@ void BM_TaskTransitions(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 6);
 }
 BENCHMARK(BM_TaskTransitions);
+
+// Timeline appends as Runtime::publish_state makes them: 1,000 tasks
+// through six states, interleaved across tasks, into a fresh Timeline
+// (its destruction included). Items are records; ns_per_record is the
+// same rate inverted. bytes_per_record is the heap one filled Timeline
+// holds (records, per-entity links, interned uids and names) per
+// record, read from mallinfo2 around it.
+void BM_TimelineRecord(benchmark::State& state) {
+  constexpr int kTasks = 1000;
+  static constexpr const char* kStates[] = {"CREATED",   "SCHEDULING",
+                                            "SCHEDULED", "LAUNCHING",
+                                            "RUNNING",   "DONE"};
+  constexpr int kRecords = kTasks * static_cast<int>(std::size(kStates));
+  std::vector<std::string> uids;
+  for (int i = 0; i < kTasks; ++i) {
+    uids.push_back(strutil::cat("task.", strutil::zero_pad(i, 6)));
+  }
+  const auto fill = [&uids](metrics::Timeline& timeline) {
+    double now = 0.0;
+    for (const char* name : kStates) {
+      for (const auto& uid : uids) {
+        now += 1e-3;
+        timeline.record({uid, "task", name, now});
+      }
+    }
+  };
+  for (auto _ : state) {
+    metrics::Timeline timeline;
+    fill(timeline);
+    benchmark::DoNotOptimize(timeline.records().size());
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+  state.counters["ns_per_record"] = benchmark::Counter(
+      kRecords * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+  const auto heap_bytes = [] {
+    const auto info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  const double before = heap_bytes();
+  metrics::Timeline timeline;
+  fill(timeline);
+  state.counters["bytes_per_record"] = (heap_bytes() - before) / kRecords;
+}
+BENCHMARK(BM_TimelineRecord);
 
 void BM_SummaryQuantiles(benchmark::State& state) {
   common::Rng rng(9);

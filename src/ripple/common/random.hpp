@@ -11,6 +11,7 @@
 /// in which other components consume randomness.
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -21,9 +22,18 @@
 namespace ripple::common {
 
 /// A seeded wrapper over mt19937_64 with convenience samplers.
+///
+/// The 2.5 KB engine is allocated and seeded on the first draw, so an
+/// Rng that never draws (most forked per-task streams) costs 16 bytes
+/// and moves as a pointer. Seeding late draws exactly the sequence
+/// seeding at construction would. Copies carry the engine's state.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 42);
+  explicit Rng(std::uint64_t seed = 42) noexcept : seed_(seed) {}
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   /// Uniform real in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
@@ -62,8 +72,14 @@ class Rng {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
+  std::mt19937_64& engine() {
+    if (!engine_) seed_engine();
+    return *engine_;
+  }
+  void seed_engine();
+
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  std::unique_ptr<std::mt19937_64> engine_;  ///< null until the first draw
 };
 
 /// A small algebra of duration distributions, parseable from JSON config.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <iomanip>
 
 namespace ripple::strutil {
 
@@ -92,9 +91,19 @@ std::string format_bytes(double bytes) {
 }
 
 std::string format_fixed(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
+  // A stream treats a negative precision as the default, 6.
+  if (precision < 0) precision = 6;
+  char buf[64];
+  const auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                    std::chars_format::fixed, precision);
+  if (result.ec == std::errc{}) return std::string(buf, result.ptr);
+  // Up to 309 integer digits, a sign, a point and the fraction.
+  std::string out(static_cast<std::size_t>(precision) + 320, '\0');
+  const auto end = std::to_chars(out.data(), out.data() + out.size(), value,
+                                 std::chars_format::fixed, precision)
+                       .ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, Duration duration) {
@@ -106,9 +115,25 @@ std::ostream& operator<<(std::ostream& os, Fixed fixed) {
 }
 
 std::string zero_pad(std::uint64_t value, int width) {
-  std::ostringstream os;
-  os << std::setw(width) << std::setfill('0') << value;
-  return os.str();
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  const auto digits = static_cast<int>(end - buf);
+  std::string out(static_cast<std::size_t>(std::max(width - digits, 0)), '0');
+  out.append(buf, end);
+  return out;
 }
+
+namespace detail {
+
+void append_general(std::string& out, double value) {
+  // "-1.23457e-308" is the longest a 6-digit general form gets.
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::general, 6)
+                       .ptr;
+  out.append(buf, end);
+}
+
+}  // namespace detail
 
 }  // namespace ripple::strutil

@@ -3,20 +3,62 @@
 /// \file strutil.hpp
 /// Small string helpers shared across Ripple (no external dependencies).
 
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ripple::strutil {
 
-/// Concatenates all arguments through an ostringstream. The building block
-/// for log and error messages (GCC 12 lacks std::format).
+namespace detail {
+
+/// Appends `value` as `os << value` writes it on a default stream:
+/// general format, 6 significant digits.
+void append_general(std::string& out, double value);
+
+template <typename T>
+void append_part(std::string& out, const T& part) {
+  using D = std::remove_cvref_t<T>;
+  if constexpr (std::is_same_v<D, std::string> ||
+                std::is_same_v<D, std::string_view> ||
+                std::is_same_v<std::decay_t<T>, const char*> ||
+                std::is_same_v<std::decay_t<T>, char*>) {
+    out.append(part);
+  } else if constexpr (std::is_same_v<D, bool>) {
+    out.push_back(part ? '1' : '0');
+  } else if constexpr (std::is_same_v<D, char> ||
+                       std::is_same_v<D, signed char> ||
+                       std::is_same_v<D, unsigned char>) {
+    out.push_back(static_cast<char>(part));
+  } else if constexpr (std::is_integral_v<D>) {
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof buf, part).ptr;
+    out.append(buf, end);
+  } else if constexpr (std::is_same_v<D, float> ||
+                       std::is_same_v<D, double>) {
+    append_general(out, static_cast<double>(part));
+  } else {
+    std::ostringstream os;
+    os << part;
+    out.append(os.str());
+  }
+}
+
+}  // namespace detail
+
+/// Concatenates all arguments, each written exactly as `operator<<` on
+/// a default std::ostream writes it. Strings, chars, bools and numbers
+/// are appended directly (numbers through std::to_chars); any other
+/// type, long double included, goes through its operator<<. The building block for log and
+/// error messages (GCC 12 lacks std::format).
 template <typename... Args>
-[[nodiscard]] std::string cat(Args&&... args) {
-  std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
-  return os.str();
+[[nodiscard]] std::string cat(const Args&... args) {
+  std::string out;
+  (detail::append_part(out, args), ...);
+  return out;
 }
 
 /// Splits `text` on `sep`, keeping empty fields.

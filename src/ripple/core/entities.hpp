@@ -5,10 +5,13 @@
 ///
 /// Entities are owned by their managers; user code refers to them by uid
 /// and reads them through const accessors. State changes go through
-/// set_state(), which validates the transition and records a timestamp,
-/// feeding the metrics Timeline.
+/// set_state(), which validates the transition and keeps the first time
+/// the entity entered each state in a fixed array indexed by state (no
+/// allocation per transition). The full history, re-entries included,
+/// lives in the metrics Timeline.
 
-#include <map>
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,32 @@ class Cluster;
 }
 
 namespace ripple::core {
+
+/// First time an entity entered each state of its machine, indexed by
+/// state; -1 when never. `Last` is the machine's last enumerator.
+/// Times are non-negative sim times, so -1 marks an unvisited state.
+template <typename State, State Last>
+class StateTimes {
+ public:
+  StateTimes() noexcept { times_.fill(-1.0); }
+
+  /// Records `now` unless `state` was entered before.
+  void enter(State state, double now) noexcept {
+    double& first = times_[index(state)];
+    if (first < 0.0) first = now;
+  }
+
+  [[nodiscard]] double operator[](State state) const noexcept {
+    return times_[index(state)];
+  }
+
+ private:
+  static constexpr std::size_t index(State state) noexcept {
+    return static_cast<std::size_t>(state);
+  }
+
+  std::array<double, index(Last) + 1> times_;
+};
 
 /// Bootstrap-time decomposition of one service instance (Fig. 3).
 struct BootstrapTiming {
@@ -66,7 +95,7 @@ class Pilot {
   platform::Cluster* cluster_;
   std::vector<platform::Node*> nodes_;
   PilotState state_ = PilotState::created;
-  std::map<PilotState, double> timestamps_;
+  StateTimes<PilotState, PilotState::canceled> timestamps_;
 };
 
 class Task {
@@ -105,7 +134,7 @@ class Task {
   std::string uid_;
   TaskDescription desc_;
   TaskState state_ = TaskState::created;
-  std::map<TaskState, double> timestamps_;
+  StateTimes<TaskState, TaskState::canceled> timestamps_;
   std::string pilot_uid_;
   platform::Slot slot_;
   json::Value result_;
@@ -164,7 +193,7 @@ class Service {
   std::string uid_;
   ServiceDescription desc_;
   ServiceState state_ = ServiceState::created;
-  std::map<ServiceState, double> timestamps_;
+  StateTimes<ServiceState, ServiceState::canceled> timestamps_;
   std::string endpoint_;
   std::string pilot_uid_;
   platform::Slot slot_;

@@ -15,8 +15,7 @@ common::Logger Runtime::make_logger(const std::string& name) {
 
 void Runtime::publish_state(std::string_view kind, const std::string& uid,
                             std::string_view state) {
-  timeline_.record(metrics::TransitionRecord{uid, std::string(kind),
-                                             std::string(state), loop_.now()});
+  timeline_.record(metrics::TransitionRecord{uid, kind, state, loop_.now()});
 }
 
 void Runtime::register_endpoint(const std::string& name,

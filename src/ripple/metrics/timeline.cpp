@@ -1,23 +1,32 @@
 #include "ripple/metrics/timeline.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "ripple/common/error.hpp"
 
 namespace ripple::metrics {
 
-void Timeline::record(TransitionRecord record) {
+std::string_view Timeline::intern_name(std::string_view name) {
+  auto it = names_.find(name);
+  if (it == names_.end()) it = names_.emplace(name).first;
+  return *it;
+}
+
+void Timeline::record(const TransitionRecord& record) {
   const auto index = static_cast<std::uint32_t>(records_.size());
-  const auto [it, inserted] = latest_.try_emplace(record.entity, index);
-  previous_.push_back(inserted ? kNone : it->second);
+  auto it = latest_.find(record.entity);
+  if (it == latest_.end()) {
+    it = latest_.emplace(std::string(record.entity), kNone).first;
+  }
+  previous_.push_back(it->second);
   it->second = index;
-  records_.push_back(std::move(record));
+  records_.push_back(TransitionRecord{it->first, intern_name(record.kind),
+                                      intern_name(record.state), record.time});
 }
 
 template <typename Visit>
-void Timeline::for_each_entry(const std::string& entity,
-                              const std::string& state, Visit visit) const {
+void Timeline::for_each_entry(std::string_view entity, std::string_view state,
+                              Visit visit) const {
   const auto it = latest_.find(entity);
   if (it == latest_.end()) return;
   for (std::uint32_t i = it->second; i != kNone; i = previous_[i]) {
@@ -25,8 +34,22 @@ void Timeline::for_each_entry(const std::string& entity,
   }
 }
 
-double Timeline::state_time(const std::string& entity,
-                            const std::string& state) const {
+template <typename Visit>
+void Timeline::for_each_first(std::string_view kind, std::string_view state,
+                              Visit visit) const {
+  // Interned uids are unique, so an entity is identified by its text's
+  // address.
+  std::unordered_set<const char*> seen;
+  for (const auto& record : records_) {
+    if (record.kind == kind && record.state == state &&
+        seen.insert(record.entity.data()).second) {
+      visit(record.entity);
+    }
+  }
+}
+
+double Timeline::state_time(std::string_view entity,
+                            std::string_view state) const {
   double first = -1.0;
   for_each_entry(entity, state, [&](const TransitionRecord& record) {
     first = record.time;
@@ -35,8 +58,8 @@ double Timeline::state_time(const std::string& entity,
   return first;
 }
 
-std::vector<double> Timeline::state_times(const std::string& entity,
-                                          const std::string& state) const {
+std::vector<double> Timeline::state_times(std::string_view entity,
+                                          std::string_view state) const {
   std::vector<double> times;
   for_each_entry(entity, state, [&](const TransitionRecord& record) {
     times.push_back(record.time);
@@ -46,8 +69,8 @@ std::vector<double> Timeline::state_times(const std::string& entity,
   return times;
 }
 
-double Timeline::last_state_time(const std::string& entity,
-                                 const std::string& state) const {
+double Timeline::last_state_time(std::string_view entity,
+                                 std::string_view state) const {
   double last = -1.0;
   for_each_entry(entity, state, [&](const TransitionRecord& record) {
     last = record.time;
@@ -56,8 +79,8 @@ double Timeline::last_state_time(const std::string& entity,
   return last;
 }
 
-std::size_t Timeline::entry_count(const std::string& entity,
-                                  const std::string& state) const {
+std::size_t Timeline::entry_count(std::string_view entity,
+                                  std::string_view state) const {
   std::size_t n = 0;
   for_each_entry(entity, state, [&](const TransitionRecord&) {
     ++n;
@@ -66,8 +89,8 @@ std::size_t Timeline::entry_count(const std::string& entity,
   return n;
 }
 
-double Timeline::duration(const std::string& entity, const std::string& from,
-                          const std::string& to) const {
+double Timeline::duration(std::string_view entity, std::string_view from,
+                          std::string_view to) const {
   const double t_from = state_time(entity, from);
   const double t_to = state_time(entity, to);
   ensure(t_from >= 0.0, Errc::not_found, entity, " never entered state ", from);
@@ -75,27 +98,18 @@ double Timeline::duration(const std::string& entity, const std::string& from,
   return t_to - t_from;
 }
 
-std::size_t Timeline::count(const std::string& kind,
-                            const std::string& state) const {
-  std::set<std::string> seen;
-  for (const auto& record : records_) {
-    if (record.kind == kind && record.state == state) {
-      seen.insert(record.entity);
-    }
-  }
-  return seen.size();
+std::size_t Timeline::count(std::string_view kind,
+                            std::string_view state) const {
+  std::size_t n = 0;
+  for_each_first(kind, state, [&](std::string_view) { ++n; });
+  return n;
 }
 
-std::vector<std::string> Timeline::entities_in(const std::string& kind,
-                                               const std::string& state) const {
+std::vector<std::string> Timeline::entities_in(std::string_view kind,
+                                               std::string_view state) const {
   std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const auto& record : records_) {
-    if (record.kind == kind && record.state == state &&
-        seen.insert(record.entity).second) {
-      out.push_back(record.entity);
-    }
-  }
+  for_each_first(kind, state,
+                 [&](std::string_view entity) { out.emplace_back(entity); });
   return out;
 }
 
@@ -103,6 +117,7 @@ void Timeline::clear() {
   records_.clear();
   previous_.clear();
   latest_.clear();
+  names_.clear();
 }
 
 }  // namespace ripple::metrics

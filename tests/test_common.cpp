@@ -4,7 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <limits>
 #include <ostream>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ripple/common/config.hpp"
 #include "ripple/common/error.hpp"
@@ -73,6 +82,130 @@ TEST(Strutil, FormatDurationAdaptiveUnits) {
 TEST(Strutil, LazyFormattersStreamLikeTheirFunctions) {
   EXPECT_EQ(strutil::cat(strutil::Duration{4.7e-3}), "4.70 ms");
   EXPECT_EQ(strutil::cat(strutil::Fixed{1.23456, 2}), "1.23");
+}
+
+// strutil::cat, format_fixed and zero_pad format without a stream; they
+// must write exactly what the stream did, byte for byte.
+namespace reference {
+
+template <typename... Args>
+std::string cat(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+std::string fixed(double value, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << value;
+  return os.str();
+}
+
+std::string zero_pad(std::uint64_t value, int width) {
+  std::ostringstream os;
+  os << std::setw(width) << std::setfill('0') << value;
+  return os.str();
+}
+
+}  // namespace reference
+
+std::vector<double> special_doubles() {
+  using limits = std::numeric_limits<double>;
+  return {0.0,          -0.0,           limits::denorm_min(),
+          -limits::denorm_min(), 4.9e-320, limits::min(),
+          limits::max(), limits::lowest(), limits::infinity(),
+          -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(),
+          1e300,        -1e300,         1e-300,
+          -1e-300,      0.5,            123456.5,
+          999999.5,     1e-5,           0.0001,
+          1e16,         2.5e-9,         100.0};
+}
+
+/// Random doubles from random bit patterns (every exponent, subnormals,
+/// NaN payloads) and from values in the usual decimal ranges.
+std::vector<double> random_doubles(std::mt19937_64& gen, int n) {
+  std::vector<double> out = special_doubles();
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t bits = gen();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    out.push_back(value);
+    const double mantissa =
+        std::uniform_real_distribution<double>(-10.0, 10.0)(gen);
+    const int exponent = std::uniform_int_distribution<int>(-12, 12)(gen);
+    out.push_back(mantissa * std::pow(10.0, exponent));
+  }
+  return out;
+}
+
+TEST(Strutil, CatMatchesOstreamOnRandomParts) {
+  std::mt19937_64 gen(20261019);
+  for (const double value : random_doubles(gen, 2000)) {
+    ASSERT_EQ(strutil::cat(value), reference::cat(value)) << value;
+    const auto single = static_cast<float>(value);
+    ASSERT_EQ(strutil::cat(single), reference::cat(single)) << single;
+  }
+  const long double wide = 1.0L / 3.0L;
+  EXPECT_EQ(strutil::cat(wide, -wide * 1e300L),
+            reference::cat(wide, -wide * 1e300L));
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bits = gen();
+    const auto i64 = static_cast<std::int64_t>(bits);
+    const auto i32 = static_cast<std::int32_t>(bits);
+    const auto u32 = static_cast<std::uint32_t>(bits);
+    const auto i16 = static_cast<short>(bits);
+    const auto u16 = static_cast<unsigned short>(bits);
+    const auto ch = static_cast<char>(bits % 95 + 32);
+    const auto sch = static_cast<signed char>(bits % 95 + 32);
+    const auto uch = static_cast<unsigned char>(bits % 95 + 32);
+    const bool flag = (bits & 1) != 0;
+    const std::string text(bits % 20, ch);
+    ASSERT_EQ(strutil::cat(bits, " ", i64, ':', i32, u32, i16, u16, ch, sch,
+                           uch, flag, text, std::string_view(text)),
+              reference::cat(bits, " ", i64, ':', i32, u32, i16, u16, ch,
+                             sch, uch, flag, text, std::string_view(text)));
+  }
+  const std::int64_t extremes[] = {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   0, -1};
+  for (const auto value : extremes) {
+    EXPECT_EQ(strutil::cat(value), reference::cat(value));
+  }
+  const char* c_string = "c-string";
+  char buffer[] = "char-array";
+  EXPECT_EQ(strutil::cat(c_string, buffer, true, false, '\0', 'x'),
+            reference::cat(c_string, buffer, true, false, '\0', 'x'));
+  // A type with only operator<< goes through a stream.
+  EXPECT_EQ(strutil::cat(strutil::Fixed{2.0 / 3.0, 4}, "|",
+                         strutil::Duration{0.25}),
+            "0.6667|250.00 ms");
+  EXPECT_EQ(strutil::cat(), "");
+}
+
+TEST(Strutil, FormatFixedMatchesOstream) {
+  std::mt19937_64 gen(7);
+  for (const double value : random_doubles(gen, 1000)) {
+    for (const int precision : {0, 1, 2, 3, 6, 9, 17, -1}) {
+      ASSERT_EQ(strutil::format_fixed(value, precision),
+                reference::fixed(value, precision))
+          << value << " at precision " << precision;
+    }
+  }
+  EXPECT_EQ(strutil::format_fixed(std::numeric_limits<double>::max(), 40),
+            reference::fixed(std::numeric_limits<double>::max(), 40));
+}
+
+TEST(Strutil, ZeroPadMatchesOstream) {
+  std::mt19937_64 gen(3);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t value = gen() >> (gen() % 64);
+    const int width = static_cast<int>(gen() % 24) - 2;
+    ASSERT_EQ(strutil::zero_pad(value, width),
+              reference::zero_pad(value, width))
+        << value << " width " << width;
+  }
+  EXPECT_EQ(strutil::zero_pad(0, 0), reference::zero_pad(0, 0));
+  EXPECT_EQ(strutil::zero_pad(0, 3), "000");
 }
 
 TEST(Strutil, FormatBytes) {
@@ -352,6 +485,68 @@ TEST(Random, ForkDecorrelatesStreams) {
   EXPECT_DOUBLE_EQ(child_a.uniform(0, 1), child_a2.uniform(0, 1));
   // Different tags give different streams (overwhelmingly likely).
   EXPECT_NE(child_a.uniform(0, 1), child_b.uniform(0, 1));
+}
+
+// The stream a forked Rng draws is fixed by (seed, tag): seeding its
+// engine on the first draw must give what seeding at construction did.
+TEST(Random, LazyForkDrawsLikeEagerSeeding) {
+  const auto fnv = [](const std::string& tag) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : tag) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  const auto splitmix = [](std::uint64_t x) {
+    x += 0x9E3779B97f4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  };
+  std::mt19937_64 gen(99);
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t seed = gen();
+    const std::string tag = "task." + std::to_string(gen() % 1000000);
+    Rng child = Rng(seed).fork(tag);
+    const std::uint64_t child_seed = splitmix(seed ^ fnv(tag));
+    EXPECT_EQ(child.seed(), child_seed);
+    std::mt19937_64 eager(splitmix(child_seed));
+    for (int draw = 0; draw < 20; ++draw) {
+      ASSERT_EQ(child.uniform_int(0, 1'000'000'000'000),
+                std::uniform_int_distribution<std::int64_t>(
+                    0, 1'000'000'000'000)(eager));
+      ASSERT_EQ(child.uniform(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(eager));
+    }
+  }
+}
+
+TEST(Random, CopyAndMoveKeepEngineState) {
+  std::mt19937_64 gen(4);
+  for (int i = 0; i < 20; ++i) {
+    Rng original(gen());
+    const auto drawn = static_cast<int>(gen() % 5);  // 0: still unseeded
+    for (int d = 0; d < drawn; ++d) (void)original.uniform(0.0, 1.0);
+
+    Rng copy(original);
+    Rng assigned(1);
+    (void)assigned.uniform(0.0, 1.0);
+    assigned = original;
+    Rng moved_from(original);
+    Rng moved(std::move(moved_from));
+    Rng move_assigned(2);
+    Rng move_source(original);
+    move_assigned = std::move(move_source);
+
+    for (int d = 0; d < 10; ++d) {
+      const double expected = original.uniform(0.0, 1.0);
+      ASSERT_EQ(copy.uniform(0.0, 1.0), expected);
+      ASSERT_EQ(assigned.uniform(0.0, 1.0), expected);
+      ASSERT_EQ(moved.uniform(0.0, 1.0), expected);
+      ASSERT_EQ(move_assigned.uniform(0.0, 1.0), expected);
+    }
+  }
 }
 
 TEST(Random, WeightedIndexRespectsWeights) {

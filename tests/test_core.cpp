@@ -142,6 +142,66 @@ TEST(TaskEntity, IllegalTransitionThrows) {
   }
 }
 
+// A restarted task re-enters SCHEDULING..RUNNING; state_time() keeps
+// the first entry of each state.
+TEST(TaskEntity, ReentryKeepsFirstEntryTimes) {
+  Task task("task.x", TaskDescription{});
+  const TaskState attempt[] = {TaskState::scheduling, TaskState::scheduled,
+                               TaskState::launching, TaskState::running};
+  double now = 1.0;
+  for (int run = 0; run < 2; ++run) {
+    for (const TaskState state : attempt) task.set_state(state, now++);
+  }
+  task.set_state(TaskState::done, now);
+  EXPECT_DOUBLE_EQ(task.state_time(TaskState::scheduling), 1.0);
+  EXPECT_DOUBLE_EQ(task.state_time(TaskState::running), 4.0);
+  EXPECT_DOUBLE_EQ(task.state_time(TaskState::done), 9.0);
+  EXPECT_DOUBLE_EQ(task.state_time(TaskState::created), -1.0);
+  EXPECT_DOUBLE_EQ(task.state_time(TaskState::canceled), -1.0);
+  EXPECT_DOUBLE_EQ(task.duration(TaskState::scheduling, TaskState::done), 8.0);
+}
+
+// A failed service restarts through the bootstrap pipeline; the first
+// entry of each state wins, and states first reached on the retry get
+// the retry's time.
+TEST(ServiceEntity, RestartKeepsFirstEntryTimes) {
+  Service svc("svc.x", ServiceDescription{});
+  svc.set_state(ServiceState::scheduling, 1.0);
+  svc.set_state(ServiceState::scheduled, 2.0);
+  svc.set_state(ServiceState::launching, 3.0);
+  svc.set_state(ServiceState::failed, 4.0);
+  svc.set_state(ServiceState::scheduling, 10.0);
+  svc.set_state(ServiceState::scheduled, 11.0);
+  svc.set_state(ServiceState::launching, 12.0);
+  svc.set_state(ServiceState::initializing, 13.0);
+  svc.set_state(ServiceState::publishing, 14.0);
+  svc.set_state(ServiceState::running, 15.0);
+  EXPECT_DOUBLE_EQ(svc.state_time(ServiceState::scheduling), 1.0);
+  EXPECT_DOUBLE_EQ(svc.state_time(ServiceState::launching), 3.0);
+  EXPECT_DOUBLE_EQ(svc.state_time(ServiceState::failed), 4.0);
+  EXPECT_DOUBLE_EQ(svc.state_time(ServiceState::initializing), 13.0);
+  EXPECT_DOUBLE_EQ(svc.duration(ServiceState::scheduling,
+                                ServiceState::running),
+                   14.0);
+  EXPECT_DOUBLE_EQ(svc.state_time(ServiceState::stopped), -1.0);
+}
+
+// A pilot cannot re-enter a state: a rejected transition leaves the
+// recorded first-entry times as they were.
+TEST(PilotEntity, RejectedTransitionKeepsTimes) {
+  Session session({.seed = 1});
+  session.add_platform(platform::delta_profile(1));
+  Pilot pilot("pilot.x", PilotDescription{}, &session.cluster("delta"));
+  EXPECT_DOUBLE_EQ(pilot.state_time(PilotState::created), -1.0);
+  pilot.set_state(PilotState::active, 2.0);
+  pilot.set_state(PilotState::failed, 5.0);
+  EXPECT_THROW(pilot.set_state(PilotState::failed, 9.0), Error);
+  EXPECT_THROW(pilot.set_state(PilotState::active, 9.0), Error);
+  EXPECT_DOUBLE_EQ(pilot.state_time(PilotState::active), 2.0);
+  EXPECT_DOUBLE_EQ(pilot.state_time(PilotState::failed), 5.0);
+  EXPECT_DOUBLE_EQ(pilot.state_time(PilotState::done), -1.0);
+}
+
 TEST(ServiceEntity, BootstrapTimingComplete) {
   Service svc("svc.x", ServiceDescription{});
   EXPECT_FALSE(svc.bootstrap().complete());

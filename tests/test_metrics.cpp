@@ -177,7 +177,7 @@ TEST(Timeline, IndexMatchesLinearScan) {
           if (r.kind == kind && r.state == state &&
               std::find(firsts.begin(), firsts.end(), r.entity) ==
                   firsts.end()) {
-            firsts.push_back(r.entity);
+            firsts.emplace_back(r.entity);
           }
         }
         EXPECT_EQ(timeline.entities_in(kind, state), firsts);
@@ -188,6 +188,87 @@ TEST(Timeline, IndexMatchesLinearScan) {
     EXPECT_EQ(timeline.entry_count(entities[0], "NEW"), 0u);
     EXPECT_EQ(timeline.state_time(entities[0], "NEW"), -1.0);
   }
+}
+
+// The record store is chunked: appends never move earlier records, so
+// a reference into records() stays valid while the run goes on.
+TEST(Timeline, RecordStoreNeverRelocates) {
+  Timeline timeline;
+  timeline.record({"task.000000", "task", "CREATED", 0.0});
+  const TransitionRecord* front = &timeline.records().front();
+  for (int i = 1; i < 100000; ++i) {
+    timeline.record({"task.000000", "task", "RUNNING", i * 1.0});
+  }
+  EXPECT_EQ(&timeline.records().front(), front);
+  EXPECT_EQ(timeline.records().size(), 100000u);
+  EXPECT_EQ(front->state, "CREATED");
+  EXPECT_EQ(timeline.entry_count("task.000000", "RUNNING"), 99999u);
+}
+
+// Record views point into text the Timeline owns: growing the uid index
+// (a rehash) must not move it.
+TEST(Timeline, ViewsSurviveRehash) {
+  Timeline timeline;
+  timeline.record({"task.first", "task", "RUNNING", 1.0});
+  const TransitionRecord& first = timeline.records().front();
+  for (int i = 0; i < 5000; ++i) {
+    timeline.record({"task." + std::to_string(i), "task", "DONE", 2.0});
+  }
+  EXPECT_EQ(first.entity, "task.first");
+  EXPECT_EQ(first.kind, "task");
+  EXPECT_EQ(first.state, "RUNNING");
+  EXPECT_EQ(timeline.records()[4000].entity, "task.3999");
+  EXPECT_EQ(timeline.count("task", "DONE"), 5000u);
+  EXPECT_DOUBLE_EQ(timeline.state_time("task.first", "RUNNING"), 1.0);
+}
+
+// A record's text is copied in: the caller's strings may die right
+// after record() returns.
+TEST(Timeline, RecordCopiesTemporaryText) {
+  Timeline timeline;
+  for (int i = 0; i < 3; ++i) {
+    std::string uid = "service." + std::to_string(i) + ".with-a-long-suffix";
+    std::string kind = "service";
+    std::string state = "LAUNCHING";
+    timeline.record({uid, kind, state, i * 1.5});
+    uid.assign(uid.size(), 'x');
+    kind.assign(kind.size(), 'x');
+    state.assign(state.size(), 'x');
+  }
+  timeline.record({std::string("task.temporary.uid.longer.than.sso"),
+                   std::string("task"), std::string("DONE"), 7.0});
+  const auto& records = timeline.records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[1].entity, "service.1.with-a-long-suffix");
+  EXPECT_EQ(records[1].kind, "service");
+  EXPECT_EQ(records[1].state, "LAUNCHING");
+  EXPECT_EQ(records[3].entity, "task.temporary.uid.longer.than.sso");
+  EXPECT_DOUBLE_EQ(
+      timeline.state_time("service.2.with-a-long-suffix", "LAUNCHING"), 3.0);
+  EXPECT_EQ(timeline.entities_in("task", "DONE"),
+            (std::vector<std::string>{"task.temporary.uid.longer.than.sso"}));
+}
+
+// After clear() the Timeline starts over: new records own fresh text
+// and the queries see only them.
+TEST(Timeline, ClearThenReuse) {
+  Timeline timeline;
+  for (int i = 0; i < 100; ++i) {
+    timeline.record({"task." + std::to_string(i), "task", "RUNNING", 1.0});
+  }
+  timeline.clear();
+  EXPECT_TRUE(timeline.records().empty());
+  EXPECT_EQ(timeline.count("task", "RUNNING"), 0u);
+  timeline.record({"task.7", "task", "DONE", 4.0});
+  timeline.record({"task.7", "task", "DONE", 5.0});
+  ASSERT_EQ(timeline.records().size(), 2u);
+  EXPECT_EQ(timeline.records().front().entity, "task.7");
+  EXPECT_EQ(timeline.records().back().state, "DONE");
+  EXPECT_EQ(timeline.state_times("task.7", "DONE"),
+            (std::vector<double>{4.0, 5.0}));
+  EXPECT_DOUBLE_EQ(timeline.state_time("task.7", "RUNNING"), -1.0);
+  EXPECT_EQ(timeline.entities_in("task", "DONE"),
+            (std::vector<std::string>{"task.7"}));
 }
 
 TEST(Table, AlignmentAndCsv) {
