@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerates BENCH_layers.json at the repository root: the per-layer
-# micro-benchmark rows (event loop, task transitions, timeline appends)
-# that later changes are compared against.
+# micro-benchmark rows (event loop, task transitions, timeline appends,
+# heap kept per finished task) that later changes are compared against.
 #
 # Usage, from the repository root:
 #
@@ -20,7 +20,7 @@ cmake --build "$build_dir" -j --target bench_micro_runtime
 build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$build_dir/CMakeCache.txt")
 
 "$build_dir/bench_micro_runtime" \
-  --benchmark_filter='^BM_(EventLoopPostRun|EventLoopTimerCancel|TaskTransitions|TimelineRecord)$' \
+  --benchmark_filter='^BM_(EventLoopPostRun|EventLoopTimerCancel|TaskTransitions|TimelineRecord|RetainedBytesPerFinishedTask/[0-9]+)$' \
   --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_layers.json \

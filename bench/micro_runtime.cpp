@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "retained_bytes.hpp"
 #include "ripple/common/json.hpp"
 #include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
@@ -299,6 +300,24 @@ void BM_TimelineRecord(benchmark::State& state) {
   state.counters["bytes_per_record"] = (heap_bytes() - before) / kRecords;
 }
 BENCHMARK(BM_TimelineRecord);
+
+// Heap one Session keeps per finished task (retained_bytes.hpp): tasks
+// run one pilot width at a time and the Timeline is cleared before the
+// second mallinfo2 read, so bytes_per_task is what finished tasks keep
+// (their records, map nodes and results). Items are tasks run.
+// bytes_per_task reads 0 under sanitizers, whose heap mallinfo2 misses.
+void BM_RetainedBytesPerFinishedTask(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  ripple::bench::RetainedBytes retained;
+  for (auto _ : state) {
+    retained = ripple::bench::retained_bytes_per_finished_task(tasks);
+    benchmark::DoNotOptimize(retained.done);
+  }
+  state.SetItemsProcessed(state.iterations() * tasks);
+  state.counters["bytes_per_task"] =
+      ripple::bench::kHeapVisible ? retained.per_task : 0.0;
+}
+BENCHMARK(BM_RetainedBytesPerFinishedTask)->Arg(2000)->Arg(8000);
 
 void BM_SummaryQuantiles(benchmark::State& state) {
   common::Rng rng(9);

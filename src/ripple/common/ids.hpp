@@ -4,8 +4,8 @@
 /// Entity UID generation, mirroring RADICAL-Pilot's `prefix.000042` scheme.
 ///
 /// UIDs are strings so that logs, metrics and JSON payloads stay readable.
-/// A process-wide generator hands out monotonically increasing counters per
-/// prefix; tests can reset it for reproducible fixtures.
+/// Each Runtime owns a generator that hands out monotonically increasing
+/// counters per prefix, so uids are scoped to one session.
 
 #include <cstdint>
 #include <mutex>
@@ -26,15 +26,9 @@ class IdGenerator {
   /// Resets all counters. Intended for test fixtures only.
   void reset();
 
-  /// The process-wide generator used by `make_uid`.
-  static IdGenerator& global();
-
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::uint64_t> counters_;
 };
-
-/// Convenience wrapper over IdGenerator::global().
-[[nodiscard]] std::string make_uid(const std::string& prefix);
 
 }  // namespace ripple::common

@@ -31,8 +31,8 @@ double Pilot::state_time(PilotState state) const {
   return timestamps_[state];
 }
 
-Task::Task(std::string uid, TaskDescription desc)
-    : uid_(std::move(uid)), desc_(std::move(desc)) {}
+Task::Task(std::string uid, const Pilot& pilot)
+    : uid_(std::move(uid)), pilot_(&pilot) {}
 
 void Task::set_state(TaskState next, double now) {
   check_transition(uid_, state_, next);

@@ -98,14 +98,15 @@ class Pilot {
   StateTimes<PilotState, PilotState::canceled> timestamps_;
 };
 
+/// A task's durable record: what stays once the task is finished. The
+/// TaskManager keeps the description, slot and attempt state beside it
+/// while the task is live and frees them at DONE, FAILED or CANCELED;
+/// this record, and references to it, last as long as the manager.
 class Task {
  public:
-  Task(std::string uid, TaskDescription desc);
+  Task(std::string uid, const Pilot& pilot);
 
   [[nodiscard]] const std::string& uid() const noexcept { return uid_; }
-  [[nodiscard]] const TaskDescription& description() const noexcept {
-    return desc_;
-  }
   [[nodiscard]] TaskState state() const noexcept { return state_; }
 
   void set_state(TaskState next, double now);
@@ -116,13 +117,12 @@ class Task {
   /// Time between first entries of two visited states.
   [[nodiscard]] double duration(TaskState from, TaskState to) const;
 
+  /// The pilot the task is bound to (the last one, after a re-bind).
+  [[nodiscard]] const Pilot& pilot() const noexcept { return *pilot_; }
   [[nodiscard]] const std::string& pilot_uid() const noexcept {
-    return pilot_uid_;
+    return pilot_->uid();
   }
-  void set_pilot_uid(std::string uid) { pilot_uid_ = std::move(uid); }
-
-  [[nodiscard]] const platform::Slot& slot() const noexcept { return slot_; }
-  void set_slot(platform::Slot slot) { slot_ = std::move(slot); }
+  void set_pilot(const Pilot& pilot) noexcept { pilot_ = &pilot; }
 
   [[nodiscard]] const json::Value& result() const noexcept { return result_; }
   void set_result(json::Value result) { result_ = std::move(result); }
@@ -132,11 +132,9 @@ class Task {
 
  private:
   std::string uid_;
-  TaskDescription desc_;
+  const Pilot* pilot_;
   TaskState state_ = TaskState::created;
   StateTimes<TaskState, TaskState::canceled> timestamps_;
-  std::string pilot_uid_;
-  platform::Slot slot_;
   json::Value result_;
   std::string error_;
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/ids.hpp"
 #include "ripple/common/strutil.hpp"
 #include "ripple/data/placement_advisor.hpp"
 #include "ripple/platform/cluster.hpp"
@@ -23,6 +22,10 @@ std::vector<std::string> stage_in_datasets(const TaskDescription& desc) {
     }
   }
   return inputs;
+}
+
+constexpr std::size_t index(TaskState state) noexcept {
+  return static_cast<std::size_t>(state);
 }
 
 }  // namespace
@@ -58,12 +61,14 @@ const TaskManager::Active& TaskManager::active_for(
   return it->second;
 }
 
-const Task& TaskManager::get(const std::string& uid) const {
-  return *active_for(uid).task;
+TaskManager::Active* TaskManager::find_live(const std::string& uid) {
+  const auto it = tasks_.find(uid);
+  if (it == tasks_.end() || !it->second.live) return nullptr;
+  return &it->second;
 }
 
-Task& TaskManager::get_mutable(const std::string& uid) {
-  return *active_for(uid).task;
+const Task& TaskManager::get(const std::string& uid) const {
+  return active_for(uid).task;
 }
 
 bool TaskManager::exists(const std::string& uid) const {
@@ -78,11 +83,7 @@ std::vector<std::string> TaskManager::uids() const {
 }
 
 std::size_t TaskManager::count_in_state(TaskState state) const {
-  std::size_t n = 0;
-  for (const auto& [uid, active] : tasks_) {
-    if (active.task->state() == state) ++n;
-  }
-  return n;
+  return state_counts_[index(state)];
 }
 
 // ---------------------------------------------------------------------------
@@ -90,9 +91,18 @@ std::size_t TaskManager::count_in_state(TaskState state) const {
 // ---------------------------------------------------------------------------
 
 void TaskManager::set_state(Active& active, TaskState state) {
-  active.task->set_state(state, runtime_.loop().now());
-  record_transition(active.task->uid(), state);
-  if (is_terminal(state)) recheck_watchers();
+  const TaskState from = active.task.state();
+  active.task.set_state(state, runtime_.loop().now());
+  --state_counts_[index(from)];
+  ++state_counts_[index(state)];
+  record_transition(active.task.uid(), state);
+  if (is_terminal(state)) {
+    recheck_watchers();
+    // Retire: only the Task record outlives the attempt. Every caller
+    // returns right after a terminal set_state, and callbacks still in
+    // flight find no live part and drop themselves.
+    active.live.reset();
+  }
 }
 
 void TaskManager::record_transition(const std::string& uid, TaskState state) {
@@ -157,19 +167,16 @@ std::string TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
   }
 
   const std::string uid = runtime_.make_uid("task");
-  Active active;
-  active.task = std::make_unique<Task>(uid, std::move(desc));
-  active.task->set_pilot_uid(pilot.uid());
-  active.pilot = &pilot;
+  auto live = std::make_unique<Live>(std::move(desc));
   // The root span covers the task's whole lifetime; the phase spans
   // (queue-wait, stage-in/out, run, recovery) nest under it.
   if (runtime_.tracer().enabled()) {
-    active.trace_task =
-        runtime_.tracer().begin(active.task->description().name, "task",
-                                uid, runtime_.loop().now());
+    live->trace_task = runtime_.tracer().begin(live->desc.name, "task", uid,
+                                               runtime_.loop().now());
   }
   runtime_.counters().add("task.submitted");
-  tasks_.emplace(uid, std::move(active));
+  tasks_.emplace(uid, Active{Task(uid, pilot), std::move(live)});
+  ++state_counts_[index(TaskState::created)];
   record_transition(uid, TaskState::created);
   return uid;
 }
@@ -222,7 +229,7 @@ std::vector<std::string> TaskManager::submit_all(
 
 TaskManager::Readiness TaskManager::readiness(const Active& active,
                                               std::string* blocker) const {
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = active.live->desc;
   for (const auto& dep : desc.depends_on) {
     const TaskState state = get(dep).state();
     if (state == TaskState::failed || state == TaskState::canceled) {
@@ -244,27 +251,26 @@ TaskManager::Readiness TaskManager::readiness(const Active& active,
 
 void TaskManager::evaluate(const std::string& uid,
                            std::vector<std::string>* batch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  const TaskState state = active.task->state();
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  const TaskState state = active->task.state();
   if (state != TaskState::created && state != TaskState::waiting) return;
 
   std::string blocker;
-  switch (readiness(active, &blocker)) {
+  switch (readiness(*active, &blocker)) {
     case Readiness::broken:
       waiting_.erase(uid);
       fail_task(uid, strutil::cat("dependency ", blocker, " failed"));
       return;
     case Readiness::pending:
       if (state == TaskState::created) {
-        set_state(active, TaskState::waiting);
+        set_state(*active, TaskState::waiting);
       }
       waiting_.insert(uid);
       return;
     case Readiness::ready: {
       waiting_.erase(uid);
-      const auto& staging = active.task->description().staging;
+      const auto& staging = active->live->desc.staging;
       const bool stages_in = std::any_of(
           staging.begin(), staging.end(), [](const StagingDirective& d) {
             return d.action == StagingDirective::Action::stage_in;
@@ -292,7 +298,7 @@ void TaskManager::recheck_waiting() {
 void TaskManager::to_staging_in(const std::string& uid) {
   Active& active = active_for(uid);
   const std::vector<std::string> inputs =
-      stage_in_datasets(active.task->description());
+      stage_in_datasets(active.live->desc);
   if (inputs.empty()) {
     to_scheduling(uid);
     return;
@@ -305,31 +311,29 @@ void TaskManager::to_staging_in(const std::string& uid) {
 }
 
 void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
-  const std::vector<std::string> inputs =
-      stage_in_datasets(active.task->description());
+  Live& live = *active.live;
+  const std::vector<std::string> inputs = stage_in_datasets(live.desc);
   if (inputs.empty()) return;
-  active.stage_in_pending = true;
-  if (runtime_.tracer().enabled() && active.trace_stage == 0) {
-    active.trace_stage =
+  live.stage_in_pending = true;
+  if (runtime_.tracer().enabled() && live.trace_stage == 0) {
+    live.trace_stage =
         runtime_.tracer().begin("stage-in", "data", uid,
-                                runtime_.loop().now(), active.trace_task);
+                                runtime_.loop().now(), live.trace_task);
   }
-  const std::string zone = active.pilot->cluster().name();
-  const std::uint64_t epoch = active.epoch;
-  const std::string tenant = active.task->description().tenant;
-  active.stage_batch = data_.stage_all_tracked(
+  const std::string zone = active.task.pilot().cluster().name();
+  const std::uint64_t epoch = live.epoch;
+  live.stage_batch = data_.stage_all_tracked(
       inputs, zone,
       [this, uid, inputs, zone, epoch](bool ok,
                                        const std::string& failed_dataset) {
-        const auto it = tasks_.find(uid);
-        if (it == tasks_.end()) return;
-        Active& active = it->second;
-        if (active.epoch != epoch) return;  // attempt was interrupted
-        active.stage_in_pending = false;
-        active.stage_batch.reset();
-        runtime_.tracer().end(active.trace_stage, runtime_.loop().now());
-        active.trace_stage = 0;
-        if (is_terminal(active.task->state())) return;
+        Active* const active = find_live(uid);
+        // Finished, or the attempt was interrupted.
+        if (active == nullptr || active->live->epoch != epoch) return;
+        Live& live = *active->live;
+        live.stage_in_pending = false;
+        live.stage_batch.reset();
+        runtime_.tracer().end(live.trace_stage, runtime_.loop().now());
+        live.trace_stage = 0;
         if (!ok) {
           fail_task(uid, strutil::cat("stage-in of '", failed_dataset,
                                       "' failed"));
@@ -339,24 +343,22 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
         // waits for its grant, store pressure must not evict them. An
         // input already gone (evicted between its landing and the
         // batch completing) is a staging failure.
-        active.input_pin_zone = zone;
+        live.input_pin_zone = zone;
         for (const auto& name : inputs) {
           if (!data_.available_in(name, zone)) {
             fail_task(uid, strutil::cat("stage-in of '", name,
                                         "' was evicted before launch"));
             return;
           }
-          data_.catalog().pin(name, zone,
-                              active.task->description().tenant);
-          active.input_pins.push_back(name);
+          data_.catalog().pin(name, zone, live.desc.tenant);
+          live.input_pins.push_back(name);
         }
         // The grant may have arrived while the data was in flight.
-        if (active.slot_held &&
-            active.task->state() == TaskState::scheduled) {
+        if (live.slot_held && active->task.state() == TaskState::scheduled) {
           begin_launch(uid);
         }
       },
-      tenant);
+      live.desc.tenant);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
 
 ScheduleRequest TaskManager::make_request(const std::string& uid,
                                           Active& active) {
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = active.live->desc;
   ScheduleRequest request;
   request.uid = uid;
   request.cores = desc.cores;
@@ -375,9 +377,9 @@ ScheduleRequest TaskManager::make_request(const std::string& uid,
   request.tenant = desc.tenant;
   request.input_datasets = stage_in_datasets(desc);
   request.input_bytes = data_.bytes_required(
-      request.input_datasets, active.pilot->cluster().name());
-  const std::uint64_t epoch = active.epoch;
-  const std::string pilot_uid = active.pilot->uid();
+      request.input_datasets, active.task.pilot().cluster().name());
+  const std::uint64_t epoch = active.live->epoch;
+  const std::string pilot_uid = active.task.pilot_uid();
   request.granted = [this, uid, epoch, pilot_uid](platform::Slot slot,
                                                   platform::Node* node) {
     on_granted(uid, epoch, pilot_uid, std::move(slot), node);
@@ -386,27 +388,27 @@ ScheduleRequest TaskManager::make_request(const std::string& uid,
 }
 
 void TaskManager::to_scheduling(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  Live& live = *active->live;
+  const std::string& pilot_uid = active->task.pilot_uid();
   // Oversized tasks fail individually; this runs inside an event-loop
   // callback, where a Scheduler::submit throw would abort the run.
-  const TaskDescription& desc = active.task->description();
-  if (!scheduler_.fits_pilot(active.pilot->uid(), desc.cores, desc.gpus,
+  const TaskDescription& desc = live.desc;
+  if (!scheduler_.fits_pilot(pilot_uid, desc.cores, desc.gpus,
                              desc.mem_gb)) {
     fail_task(uid, strutil::cat("request (", desc.cores, "c/", desc.gpus,
                                 "g) cannot fit any node of pilot ",
-                                active.pilot->uid()));
+                                pilot_uid));
     return;
   }
-  set_state(active, TaskState::scheduling);
-  if (runtime_.tracer().enabled() && active.trace_queue == 0) {
-    active.trace_queue =
+  set_state(*active, TaskState::scheduling);
+  if (runtime_.tracer().enabled() && live.trace_queue == 0) {
+    live.trace_queue =
         runtime_.tracer().begin("queue-wait", "queue", uid,
-                                runtime_.loop().now(), active.trace_task);
+                                runtime_.loop().now(), live.trace_task);
   }
-  scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+  scheduler_.submit(pilot_uid, make_request(uid, *active));
 }
 
 void TaskManager::schedule_batch(Pilot& pilot,
@@ -414,14 +416,13 @@ void TaskManager::schedule_batch(Pilot& pilot,
   std::vector<ScheduleRequest> requests;
   requests.reserve(uids.size());
   for (const auto& uid : uids) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end() || is_terminal(it->second.task->state())) {
-      continue;
-    }
+    Active* const active = find_live(uid);
+    if (active == nullptr) continue;
+    Live& live = *active->live;
     // Fail oversized tasks individually; Scheduler::submit_all
     // validates the whole batch up front, and one impossible request
     // must not strand its siblings in SCHEDULING.
-    const TaskDescription& desc = it->second.task->description();
+    const TaskDescription& desc = live.desc;
     if (!scheduler_.fits_pilot(pilot.uid(), desc.cores, desc.gpus,
                                desc.mem_gb)) {
       fail_task(uid, strutil::cat("request (", desc.cores, "c/", desc.gpus,
@@ -429,13 +430,12 @@ void TaskManager::schedule_batch(Pilot& pilot,
                                   pilot.uid()));
       continue;
     }
-    set_state(it->second, TaskState::scheduling);
-    if (runtime_.tracer().enabled() && it->second.trace_queue == 0) {
-      it->second.trace_queue = runtime_.tracer().begin(
-          "queue-wait", "queue", uid, runtime_.loop().now(),
-          it->second.trace_task);
+    set_state(*active, TaskState::scheduling);
+    if (runtime_.tracer().enabled() && live.trace_queue == 0) {
+      live.trace_queue = runtime_.tracer().begin(
+          "queue-wait", "queue", uid, runtime_.loop().now(), live.trace_task);
     }
-    requests.push_back(make_request(uid, it->second));
+    requests.push_back(make_request(uid, *active));
   }
   if (!requests.empty()) {
     scheduler_.submit_all(pilot.uid(), std::move(requests));
@@ -445,66 +445,59 @@ void TaskManager::schedule_batch(Pilot& pilot,
 void TaskManager::on_granted(const std::string& uid, std::uint64_t epoch,
                              const std::string& pilot_uid,
                              platform::Slot slot, platform::Node* node) {
-  const auto it = tasks_.find(uid);
-  const auto give_back = [this, &pilot_uid](const platform::Slot& s) {
-    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, s);
-  };
-  if (it == tasks_.end()) {
-    give_back(slot);
-    return;
-  }
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) {
-    give_back(slot);
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) {
+    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
     return;
   }
   if (!node->alive() || slot.incarnation != node->incarnation()) {
     // The node died between placement and this (posted) delivery; the
     // slot died with it. Requeue — the capacity index now excludes the
     // dead node, so the replacement grant lands elsewhere.
-    scheduler_.submit(pilot_uid, make_request(uid, active));
+    scheduler_.submit(pilot_uid, make_request(uid, *active));
     return;
   }
-  active.task->set_slot(std::move(slot));
-  active.slot_held = true;
-  active.node = node;
-  set_state(active, TaskState::scheduled);
-  runtime_.tracer().end(active.trace_queue, runtime_.loop().now());
-  active.trace_queue = 0;
-  if (active.stage_in_pending) return;  // launch once the inputs land
+  Live& live = *active->live;
+  live.slot = std::move(slot);
+  live.slot_held = true;
+  live.node = node;
+  set_state(*active, TaskState::scheduled);
+  runtime_.tracer().end(live.trace_queue, runtime_.loop().now());
+  live.trace_queue = 0;
+  if (live.stage_in_pending) return;  // launch once the inputs land
   begin_launch(uid);
 }
 
 void TaskManager::begin_launch(const std::string& uid) {
   Active& active = active_for(uid);
+  Live& live = *active.live;
   set_state(active, TaskState::launching);
   // The run span covers launch latency plus payload execution.
-  if (runtime_.tracer().enabled() && active.trace_run == 0) {
-    active.trace_run =
+  if (runtime_.tracer().enabled() && live.trace_run == 0) {
+    live.trace_run =
         runtime_.tracer().begin("run", "compute", uid,
-                                runtime_.loop().now(), active.trace_task);
+                                runtime_.loop().now(), live.trace_task);
   }
-  active.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
-      uid, active.node->host(), active.task->description().payload));
-  active.ctx->data = &data_;
-  active.ctx->speed_factor = active.node->speed_factor();
-  const std::uint64_t epoch = active.epoch;
-  executor_.launch(active.pilot->cluster(), 0,
+  live.ctx = std::make_unique<ExecutionContext>(
+      executor_.make_context(uid, live.node->host(), live.desc.payload));
+  live.ctx->data = &data_;
+  live.ctx->speed_factor = live.node->speed_factor();
+  const std::uint64_t epoch = live.epoch;
+  executor_.launch(active.task.pilot().cluster(), 0,
                    [this, uid, epoch](sim::Duration) {
                      on_launched(uid, epoch);
                    });
 }
 
 void TaskManager::on_launched(const std::string& uid, std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
-  set_state(active, TaskState::running);
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) return;
+  set_state(*active, TaskState::running);
 
-  active.payload = executor_.payloads().create(active.task->description());
-  active.payload->run(
-      *active.ctx,
+  Live& live = *active->live;
+  live.payload = executor_.payloads().create(live.desc);
+  live.payload->run(
+      *live.ctx,
       [this, uid, epoch](json::Value result) {
         on_payload_done(uid, epoch, std::move(result), /*from_spec=*/false);
       },
@@ -512,27 +505,26 @@ void TaskManager::on_launched(const std::string& uid, std::uint64_t epoch) {
         on_payload_failed(uid, epoch, error, /*from_spec=*/false);
       });
 
-  if (speculation_.enabled) {
-    const sim::Duration wait =
-        std::max(speculation_.min_delay,
-                 active.task->description().duration.mean() *
-                     speculation_.latency_multiple);
-    active.spec_timer = runtime_.loop().call_after(
-        wait, [this, uid, epoch] { maybe_speculate(uid, epoch); });
-  }
+  // A payload can fail inside run() (an unknown function), which has
+  // already retired the task.
+  if (!speculation_.enabled || !active->live) return;
+  const sim::Duration wait =
+      std::max(speculation_.min_delay,
+               live.desc.duration.mean() * speculation_.latency_multiple);
+  live.spec_timer = runtime_.loop().call_after(
+      wait, [this, uid, epoch] { maybe_speculate(uid, epoch); });
 }
 
 void TaskManager::on_payload_failed(const std::string& uid,
                                     std::uint64_t epoch,
                                     const std::string& error,
                                     bool from_spec) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) return;
   if (from_spec) {
     // The duplicate failed; the primary attempt is still the task.
-    cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    cancel_speculation(*active,
+                       scheduler_.has_pilot(active->task.pilot_uid()));
     record_recovery(uid, "spec_failed");
     return;
   }
@@ -542,43 +534,43 @@ void TaskManager::on_payload_failed(const std::string& uid,
 void TaskManager::on_payload_done(const std::string& uid,
                                   std::uint64_t epoch, json::Value result,
                                   bool from_spec) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) return;
+  Live& live = *active->live;
   // First finisher wins. Bump the epoch so the loser's uncancellable
   // completion timer drops itself at the guard above.
-  ++active.epoch;
+  ++live.epoch;
   if (from_spec) {
     ++speculation_wins_;
     record_recovery(uid, "spec_win");
     runtime_.counters().add("task.spec_wins");
     runtime_.tracer().instant("spec-win", "task", uid,
-                              runtime_.loop().now(), active.trace_task);
+                              runtime_.loop().now(), live.trace_task);
     // Promote the duplicate: its slot becomes the task's slot, the
     // straggling primary's slot goes back to the scheduler.
-    release_slot(active);
-    active.task->set_slot(active.spec_slot);
-    active.node = active.spec_node;
-    active.slot_held = active.spec_slot_held;
-    active.ctx = std::move(active.spec_ctx);
-    active.payload = std::move(active.spec_payload);
-    active.spec_slot_held = false;
-    active.spec_node = nullptr;
-    if (active.spec_timer.valid()) {
-      runtime_.loop().cancel(active.spec_timer);
-      active.spec_timer = {};
+    release_slot(*active);
+    live.slot = live.spec_slot;
+    live.node = live.spec_node;
+    live.slot_held = live.spec_slot_held;
+    live.ctx = std::move(live.spec_ctx);
+    live.payload = std::move(live.spec_payload);
+    live.spec_slot_held = false;
+    live.spec_node = nullptr;
+    if (live.spec_timer.valid()) {
+      runtime_.loop().cancel(live.spec_timer);
+      live.spec_timer = {};
     }
-    active.spec_queued = false;
+    live.spec_queued = false;
   } else {
-    cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    cancel_speculation(*active,
+                       scheduler_.has_pilot(active->task.pilot_uid()));
   }
-  runtime_.tracer().end(active.trace_run, runtime_.loop().now());
-  active.trace_run = 0;
-  active.task->set_result(std::move(result));
+  runtime_.tracer().end(live.trace_run, runtime_.loop().now());
+  live.trace_run = 0;
+  active->task.set_result(std::move(result));
   // The payload has read its inputs: stop pinning them, so a finite
   // store can evict them to make room for this task's own outputs.
-  release_input_pins(active);
+  release_input_pins(*active);
   to_staging_out(uid);
 }
 
@@ -588,17 +580,17 @@ void TaskManager::on_payload_done(const std::string& uid,
 
 void TaskManager::maybe_speculate(const std::string& uid,
                                   std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  active.spec_timer = {};
-  if (active.epoch != epoch) return;
-  if (active.task->state() != TaskState::running) return;
-  if (active.spec_queued || active.spec_slot_held) return;
-  const std::string pilot_uid = active.pilot->uid();
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  Live& live = *active->live;
+  live.spec_timer = {};
+  if (live.epoch != epoch) return;
+  if (active->task.state() != TaskState::running) return;
+  if (live.spec_queued || live.spec_slot_held) return;
+  const std::string pilot_uid = active->task.pilot_uid();
   if (!scheduler_.has_pilot(pilot_uid)) return;
 
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = live.desc;
   ScheduleRequest request;
   request.uid = uid + "#spec";
   request.cores = desc.cores;
@@ -611,11 +603,11 @@ void TaskManager::maybe_speculate(const std::string& uid,
     on_spec_granted(uid, epoch, pilot_uid, std::move(slot), node);
   };
   scheduler_.submit(pilot_uid, std::move(request));
-  active.spec_queued = true;
+  live.spec_queued = true;
   record_recovery(uid, "speculate");
   runtime_.counters().add("task.speculations");
   runtime_.tracer().instant("speculate", "task", uid,
-                            runtime_.loop().now(), active.trace_task);
+                            runtime_.loop().now(), live.trace_task);
 }
 
 void TaskManager::on_spec_granted(const std::string& uid,
@@ -623,35 +615,33 @@ void TaskManager::on_spec_granted(const std::string& uid,
                                   const std::string& pilot_uid,
                                   platform::Slot slot,
                                   platform::Node* node) {
-  const auto it = tasks_.find(uid);
   const auto give_back = [this, &pilot_uid](const platform::Slot& s) {
     if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, s);
   };
-  if (it == tasks_.end()) {
+  Active* const active = find_live(uid);
+  if (active == nullptr) {
     give_back(slot);
     return;
   }
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch ||
-      active.task->state() != TaskState::running) {
+  Live& live = *active->live;
+  if (live.epoch != epoch || active->task.state() != TaskState::running) {
     give_back(slot);
-    active.spec_queued = false;
+    live.spec_queued = false;
     return;
   }
-  active.spec_queued = false;
+  live.spec_queued = false;
   if (!node->alive() || slot.incarnation != node->incarnation()) {
     return;  // the duplicate's node died in flight; drop the attempt
   }
-  active.spec_slot = std::move(slot);
-  active.spec_node = node;
-  active.spec_slot_held = true;
+  live.spec_slot = std::move(slot);
+  live.spec_node = node;
+  live.spec_slot_held = true;
   ++speculations_;
-  active.spec_ctx = std::make_unique<ExecutionContext>(
-      executor_.make_context(uid + "#spec", node->host(),
-                             active.task->description().payload));
-  active.spec_ctx->data = &data_;
-  active.spec_ctx->speed_factor = node->speed_factor();
-  executor_.launch(active.pilot->cluster(), 0,
+  live.spec_ctx = std::make_unique<ExecutionContext>(executor_.make_context(
+      uid + "#spec", node->host(), live.desc.payload));
+  live.spec_ctx->data = &data_;
+  live.spec_ctx->speed_factor = node->speed_factor();
+  executor_.launch(active->task.pilot().cluster(), 0,
                    [this, uid, epoch](sim::Duration) {
                      on_spec_launched(uid, epoch);
                    });
@@ -659,15 +649,13 @@ void TaskManager::on_spec_granted(const std::string& uid,
 
 void TaskManager::on_spec_launched(const std::string& uid,
                                    std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
-  if (!active.spec_slot_held || !active.spec_ctx) return;
-  active.spec_payload =
-      executor_.payloads().create(active.task->description());
-  active.spec_payload->run(
-      *active.spec_ctx,
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) return;
+  Live& live = *active->live;
+  if (!live.spec_slot_held || !live.spec_ctx) return;
+  live.spec_payload = executor_.payloads().create(live.desc);
+  live.spec_payload->run(
+      *live.spec_ctx,
       [this, uid, epoch](json::Value result) {
         on_payload_done(uid, epoch, std::move(result), /*from_spec=*/true);
       },
@@ -677,26 +665,25 @@ void TaskManager::on_spec_launched(const std::string& uid,
 }
 
 void TaskManager::cancel_speculation(Active& active, bool pilot_alive) {
-  if (active.spec_timer.valid()) {
-    runtime_.loop().cancel(active.spec_timer);
-    active.spec_timer = {};
+  Live& live = *active.live;
+  if (live.spec_timer.valid()) {
+    runtime_.loop().cancel(live.spec_timer);
+    live.spec_timer = {};
   }
-  const std::string& uid = active.task->uid();
-  if (active.spec_queued) {
-    if (pilot_alive) {
-      scheduler_.cancel(active.pilot->uid(), uid + "#spec");
+  const std::string& pilot_uid = active.task.pilot_uid();
+  if (live.spec_queued) {
+    if (pilot_alive) scheduler_.cancel(pilot_uid, active.task.uid() + "#spec");
+    live.spec_queued = false;
+  }
+  if (live.spec_slot_held) {
+    if (pilot_alive && scheduler_.has_pilot(pilot_uid)) {
+      scheduler_.release(pilot_uid, live.spec_slot);
     }
-    active.spec_queued = false;
+    live.spec_slot_held = false;
   }
-  if (active.spec_slot_held) {
-    if (pilot_alive && scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.spec_slot);
-    }
-    active.spec_slot_held = false;
-  }
-  active.spec_payload.reset();
-  active.spec_ctx.reset();
-  active.spec_node = nullptr;
+  live.spec_payload.reset();
+  live.spec_ctx.reset();
+  live.spec_node = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -714,96 +701,92 @@ void TaskManager::record_recovery(const std::string& uid,
 void TaskManager::interrupt_task(const std::string& uid,
                                  const std::string& reason,
                                  Pilot* replacement, bool pilot_alive) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  Live& live = *active->live;
   // Invalidate every callback of the interrupted attempt (payload
   // completions cannot be cancelled, grants may be posted in flight).
-  ++active.epoch;
-  close_phase_spans(active);
-  if (active.restart_timer.valid()) {
-    runtime_.loop().cancel(active.restart_timer);
-    active.restart_timer = {};
+  ++live.epoch;
+  close_phase_spans(*active);
+  if (live.restart_timer.valid()) {
+    runtime_.loop().cancel(live.restart_timer);
+    live.restart_timer = {};
   }
-  cancel_speculation(active, pilot_alive);
-  if (active.task->state() == TaskState::scheduling && pilot_alive &&
-      scheduler_.has_pilot(active.pilot->uid())) {
-    scheduler_.cancel(active.pilot->uid(), uid);
+  cancel_speculation(*active, pilot_alive);
+  const std::string& pilot_uid = active->task.pilot_uid();
+  if (active->task.state() == TaskState::scheduling && pilot_alive &&
+      scheduler_.has_pilot(pilot_uid)) {
+    scheduler_.cancel(pilot_uid, uid);
   }
-  if (active.stage_batch) {
-    data_.cancel_batch(active.stage_batch);
-    active.stage_batch.reset();
+  if (live.stage_batch) {
+    data_.cancel_batch(live.stage_batch);
+    live.stage_batch.reset();
   }
-  active.stage_in_pending = false;
-  release_input_pins(active);
-  if (active.slot_held) {
+  live.stage_in_pending = false;
+  release_input_pins(*active);
+  if (live.slot_held) {
     // Release before any re-bind: the slot belongs to the old pilot.
-    if (pilot_alive && scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task->slot());
+    if (pilot_alive && scheduler_.has_pilot(pilot_uid)) {
+      scheduler_.release(pilot_uid, live.slot);
     }
-    active.slot_held = false;
+    live.slot_held = false;
   }
-  active.payload.reset();
-  active.ctx.reset();
-  active.node = nullptr;
-  if (replacement != nullptr) {
-    active.pilot = replacement;
-    active.task->set_pilot_uid(replacement->uid());
-  }
-  if (active.restarts >= restart_policy_.max_restarts) {
+  live.payload.reset();
+  live.ctx.reset();
+  live.node = nullptr;
+  if (replacement != nullptr) active->task.set_pilot(*replacement);
+  if (live.restarts >= restart_policy_.max_restarts) {
     fail_task(uid, strutil::cat(reason, " (restart budget exhausted after ",
-                                active.restarts, " restarts)"));
+                                live.restarts, " restarts)"));
     return;
   }
-  ++active.restarts;
+  ++live.restarts;
   ++restarts_total_;
   double step = restart_policy_.backoff *
-                std::pow(restart_policy_.multiplier, active.restarts - 1);
+                std::pow(restart_policy_.multiplier, live.restarts - 1);
   step = std::min(step, restart_policy_.max_backoff);
   const double delay =
       restart_policy_.jitter ? step * restart_rng_.uniform(0.5, 1.5) : step;
-  set_state(active, TaskState::scheduling);
-  record_recovery(uid,
-                  strutil::cat("restart", active.restarts, " ", reason));
+  set_state(*active, TaskState::scheduling);
+  record_recovery(uid, strutil::cat("restart", live.restarts, " ", reason));
   runtime_.counters().add("task.restarts");
   // The recovery span covers the backoff wait until re-submission.
   if (runtime_.tracer().enabled()) {
-    active.trace_recover = runtime_.tracer().begin(
-        "recovery", "recovery", uid, runtime_.loop().now(),
-        active.trace_task, {{"reason", reason}});
+    live.trace_recover = runtime_.tracer().begin(
+        "recovery", "recovery", uid, runtime_.loop().now(), live.trace_task,
+        {{"reason", reason}});
   }
-  const std::uint64_t epoch = active.epoch;
-  active.restart_timer = runtime_.loop().call_after(
+  const std::uint64_t epoch = live.epoch;
+  live.restart_timer = runtime_.loop().call_after(
       delay, [this, uid, epoch] { resume_restart(uid, epoch); });
 }
 
 void TaskManager::resume_restart(const std::string& uid,
                                  std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
-  active.restart_timer = {};
-  const TaskDescription& desc = active.task->description();
-  if (!scheduler_.has_pilot(active.pilot->uid()) ||
-      !scheduler_.fits_pilot(active.pilot->uid(), desc.cores, desc.gpus,
+  Active* const active = find_live(uid);
+  if (active == nullptr || active->live->epoch != epoch) return;
+  Live& live = *active->live;
+  live.restart_timer = {};
+  const TaskDescription& desc = live.desc;
+  const std::string& pilot_uid = active->task.pilot_uid();
+  if (!scheduler_.has_pilot(pilot_uid) ||
+      !scheduler_.fits_pilot(pilot_uid, desc.cores, desc.gpus,
                              desc.mem_gb)) {
-    fail_task(uid, strutil::cat("restart: pilot ", active.pilot->uid(),
+    fail_task(uid, strutil::cat("restart: pilot ", pilot_uid,
                                 " cannot host the task any more"));
     return;
   }
-  runtime_.tracer().end(active.trace_recover, runtime_.loop().now());
-  active.trace_recover = 0;
-  if (runtime_.tracer().enabled() && active.trace_queue == 0) {
-    active.trace_queue =
+  runtime_.tracer().end(live.trace_recover, runtime_.loop().now());
+  live.trace_recover = 0;
+  if (runtime_.tracer().enabled() && live.trace_queue == 0) {
+    live.trace_queue =
         runtime_.tracer().begin("queue-wait", "queue", uid,
-                                runtime_.loop().now(), active.trace_task);
+                                runtime_.loop().now(), live.trace_task);
   }
   // Re-stage inputs: datasets still resident in the pilot's zone land
   // instantly, anything lost with a failed store is re-fetched.
-  begin_stage_in(uid, active);
-  scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+  begin_stage_in(uid, *active);
+  scheduler_.submit(pilot_uid, make_request(uid, *active));
 }
 
 std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
@@ -812,18 +795,18 @@ std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
   for (const auto& [uid, active] : tasks_) snapshot.push_back(uid);
   std::size_t interrupted = 0;
   for (const auto& uid : snapshot) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end()) continue;
-    Active& active = it->second;
-    if (is_terminal(active.task->state())) continue;
-    if (active.spec_node == &node && active.spec_slot_held) {
-      cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    Active* const active = find_live(uid);
+    if (active == nullptr) continue;
+    const Live& live = *active->live;
+    if (live.spec_node == &node && live.spec_slot_held) {
+      cancel_speculation(*active,
+                         scheduler_.has_pilot(active->task.pilot_uid()));
       record_recovery(uid, "spec_lost_node");
     }
-    if (active.node != &node || !active.slot_held) continue;
+    if (live.node != &node || !live.slot_held) continue;
     // STAGING_OUTPUT attempts keep their results: outputs are zone-level
     // transfers that survive the node; the stale slot release is a no-op.
-    if (active.task->state() == TaskState::staging_output) continue;
+    if (active->task.state() == TaskState::staging_output) continue;
     interrupt_task(uid, strutil::cat("node ", node.id(), " failed"),
                    /*replacement=*/nullptr, /*pilot_alive=*/true);
     ++interrupted;
@@ -838,12 +821,9 @@ std::size_t TaskManager::handle_pilot_loss(
   for (const auto& [uid, active] : tasks_) snapshot.push_back(uid);
   std::size_t moved = 0;
   for (const auto& uid : snapshot) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end()) continue;
-    Active& active = it->second;
-    if (is_terminal(active.task->state())) continue;
-    if (active.pilot->uid() != pilot_uid) continue;
-    const TaskDescription& desc = active.task->description();
+    Active* const active = find_live(uid);
+    if (active == nullptr || active->task.pilot_uid() != pilot_uid) continue;
+    const TaskDescription& desc = active->live->desc;
     Pilot* replacement = nullptr;
     for (Pilot* candidate : survivors) {
       if (candidate == nullptr || candidate->uid() == pilot_uid) continue;
@@ -859,15 +839,14 @@ std::size_t TaskManager::handle_pilot_loss(
                                   " preempted, no surviving pilot fits"));
       continue;
     }
-    const TaskState state = active.task->state();
+    const TaskState state = active->task.state();
     if (state == TaskState::created || state == TaskState::waiting ||
         state == TaskState::staging_output) {
       // Not holding pilot resources worth restarting for: just re-bind.
       // (A staging-out attempt's outputs are zone-level and keep going;
       // its slot died with the pilot, so only drop the local handle.)
-      active.slot_held = false;
-      active.pilot = replacement;
-      active.task->set_pilot_uid(replacement->uid());
+      active->live->slot_held = false;
+      active->task.set_pilot(*replacement);
       record_recovery(uid, strutil::cat("rebind ", replacement->uid()));
       ++moved;
       continue;
@@ -885,8 +864,9 @@ std::size_t TaskManager::handle_pilot_loss(
 
 void TaskManager::to_staging_out(const std::string& uid) {
   Active& active = active_for(uid);
+  Live& live = *active.live;
   std::vector<StagingDirective> outputs;
-  for (const auto& directive : active.task->description().staging) {
+  for (const auto& directive : live.desc.staging) {
     if (directive.action == StagingDirective::Action::stage_out) {
       outputs.push_back(directive);
     }
@@ -896,20 +876,19 @@ void TaskManager::to_staging_out(const std::string& uid) {
     return;
   }
   set_state(active, TaskState::staging_output);
-  if (runtime_.tracer().enabled() && active.trace_stage == 0) {
-    active.trace_stage =
+  if (runtime_.tracer().enabled() && live.trace_stage == 0) {
+    live.trace_stage =
         runtime_.tracer().begin("stage-out", "data", uid,
-                                runtime_.loop().now(), active.trace_task);
+                                runtime_.loop().now(), live.trace_task);
   }
-  const std::string pilot_zone = active.pilot->cluster().name();
+  const std::string pilot_zone = active.task.pilot().cluster().name();
   // Register products first: a full store rejecting the output is a
   // task failure, not a crash (this runs inside an event-loop callback,
   // where a throw would abort the whole run).
   for (const auto& directive : outputs) {
     if (data_.has(directive.dataset)) continue;
-    const double bytes = active.task->description()
-                             .payload.get_or("output_bytes", 1e6)
-                             .as_double();
+    const double bytes =
+        live.desc.payload.get_or("output_bytes", 1e6).as_double();
     try {
       data_.put(directive.dataset, bytes, pilot_zone);
     } catch (const Error& error) {
@@ -928,123 +907,115 @@ void TaskManager::to_staging_out(const std::string& uid) {
                                                 ? pilot_zone
                                                 : directive.zone);
   }
-  active.stage_batch = data_.stage_all_tracked(
-      targets, [this, uid](bool ok, const std::string& failed_dataset) {
-        const auto it = tasks_.find(uid);
-        if (it == tasks_.end()) return;
-        it->second.stage_batch.reset();
-        if (is_terminal(it->second.task->state())) return;
+  live.stage_batch = data_.stage_all_tracked(
+      targets,
+      [this, uid](bool ok, const std::string& failed_dataset) {
+        Active* const active = find_live(uid);
+        if (active == nullptr) return;
+        Live& live = *active->live;
+        live.stage_batch.reset();
         if (!ok) {
           fail_task(uid, strutil::cat("stage-out of '", failed_dataset,
                                       "' failed"));
           return;
         }
-        runtime_.tracer().end(it->second.trace_stage,
-                              runtime_.loop().now());
-        it->second.trace_stage = 0;
+        runtime_.tracer().end(live.trace_stage, runtime_.loop().now());
+        live.trace_stage = 0;
         finish(uid);
       },
-      active.task->description().tenant);
+      live.desc.tenant);
 }
 
 void TaskManager::finish(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
-  release_slot(active);
-  release_input_pins(active);
-  active.payload.reset();
-  active.ctx.reset();
-  close_phase_spans(active);
-  close_task_span(active, "done");
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  release_slot(*active);
+  release_input_pins(*active);
+  close_phase_spans(*active);
+  close_task_span(*active, "done");
   runtime_.counters().add("task.done");
-  set_state(active, TaskState::done);
+  set_state(*active, TaskState::done);
 }
 
 void TaskManager::close_phase_spans(Active& active) {
+  Live& live = *active.live;
   const double now = runtime_.loop().now();
   auto& tracer = runtime_.tracer();
-  tracer.end(active.trace_queue, now);
-  tracer.end(active.trace_stage, now);
-  tracer.end(active.trace_run, now);
-  tracer.end(active.trace_recover, now);
-  active.trace_queue = 0;
-  active.trace_stage = 0;
-  active.trace_run = 0;
-  active.trace_recover = 0;
+  tracer.end(live.trace_queue, now);
+  tracer.end(live.trace_stage, now);
+  tracer.end(live.trace_run, now);
+  tracer.end(live.trace_recover, now);
+  live.trace_queue = 0;
+  live.trace_stage = 0;
+  live.trace_run = 0;
+  live.trace_recover = 0;
 }
 
 void TaskManager::close_task_span(Active& active, const char* state) {
-  if (active.trace_task == 0) return;
-  runtime_.tracer().arg(active.trace_task, "state", state);
-  runtime_.tracer().end(active.trace_task, runtime_.loop().now());
-  active.trace_task = 0;
+  Live& live = *active.live;
+  if (live.trace_task == 0) return;
+  runtime_.tracer().arg(live.trace_task, "state", state);
+  runtime_.tracer().end(live.trace_task, runtime_.loop().now());
+  live.trace_task = 0;
 }
 
 void TaskManager::release_slot(Active& active) {
-  if (active.slot_held) {
-    if (scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task->slot());
+  Live& live = *active.live;
+  if (live.slot_held) {
+    const std::string& pilot_uid = active.task.pilot_uid();
+    if (scheduler_.has_pilot(pilot_uid)) {
+      scheduler_.release(pilot_uid, live.slot);
     }
-    active.slot_held = false;
+    live.slot_held = false;
   }
 }
 
 void TaskManager::release_input_pins(Active& active) {
-  for (const auto& name : active.input_pins) {
+  Live& live = *active.live;
+  for (const auto& name : live.input_pins) {
     // Unpin under the same tenant that pinned — per-tenant pin counts
     // must pair exactly.
-    data_.catalog().unpin(name, active.input_pin_zone,
-                          active.task->description().tenant);
+    data_.catalog().unpin(name, live.input_pin_zone, live.desc.tenant);
   }
-  active.input_pins.clear();
+  live.input_pins.clear();
 }
 
 void TaskManager::fail_task(const std::string& uid,
                             const std::string& error) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
+  Active* const active = find_live(uid);
+  if (active == nullptr) return;
+  Live& live = *active->live;
   log_.error(uid, ": ", error);
-  active.task->set_error(error);
+  active->task.set_error(error);
   waiting_.erase(uid);
-  if (active.restart_timer.valid()) {
-    runtime_.loop().cancel(active.restart_timer);
-    active.restart_timer = {};
+  if (live.restart_timer.valid()) {
+    runtime_.loop().cancel(live.restart_timer);
+    live.restart_timer = {};
   }
-  cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
-  if (active.task->state() == TaskState::scheduling &&
-      scheduler_.has_pilot(active.pilot->uid())) {
+  const std::string& pilot_uid = active->task.pilot_uid();
+  cancel_speculation(*active, scheduler_.has_pilot(pilot_uid));
+  if (active->task.state() == TaskState::scheduling &&
+      scheduler_.has_pilot(pilot_uid)) {
     // Staging can fail while the request queues (overlapped stage-in);
     // drop the queue entry so the scheduler never grants a dead task.
-    scheduler_.cancel(active.pilot->uid(), uid);
+    scheduler_.cancel(pilot_uid, uid);
   }
-  if (active.stage_batch) {
-    data_.cancel_batch(active.stage_batch);
-    active.stage_batch.reset();
-    active.stage_in_pending = false;
-  }
-  release_slot(active);
-  release_input_pins(active);
-  active.payload.reset();
-  active.ctx.reset();
-  close_phase_spans(active);
-  close_task_span(active, "failed");
+  if (live.stage_batch) data_.cancel_batch(live.stage_batch);
+  release_slot(*active);
+  release_input_pins(*active);
+  close_phase_spans(*active);
+  close_task_span(*active, "failed");
   runtime_.counters().add("task.failed");
-  set_state(active, TaskState::failed);
+  set_state(*active, TaskState::failed);
 }
 
 bool TaskManager::cancel(const std::string& uid) {
   Active& active = active_for(uid);
-  const TaskState state = active.task->state();
-  const auto abandon_staging = [this, &active] {
-    if (active.stage_batch) {
-      data_.cancel_batch(active.stage_batch);
-      active.stage_batch.reset();
-    }
-    active.stage_in_pending = false;
+  const TaskState state = active.task.state();
+  if (is_terminal(state)) return false;
+  Live& live = *active.live;
+  const auto abandon_staging = [this, &live] {
+    if (live.stage_batch) data_.cancel_batch(live.stage_batch);
   };
   switch (state) {
     case TaskState::created:
@@ -1052,7 +1023,7 @@ bool TaskManager::cancel(const std::string& uid) {
     case TaskState::staging_input:
     case TaskState::scheduling: {
       if (state == TaskState::scheduling) {
-        scheduler_.cancel(active.pilot->uid(), uid);
+        scheduler_.cancel(active.task.pilot_uid(), uid);
       }
       abandon_staging();
       release_input_pins(active);
@@ -1065,7 +1036,7 @@ bool TaskManager::cancel(const std::string& uid) {
     case TaskState::scheduled: {
       // Launch is imminent unless the task is parked on overlapped
       // stage-in; in that window the slot is reclaimable.
-      if (!active.stage_in_pending) return false;
+      if (!live.stage_in_pending) return false;
       abandon_staging();
       release_input_pins(active);
       release_slot(active);

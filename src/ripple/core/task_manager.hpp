@@ -21,6 +21,7 @@
 /// a duplicate attempt on another slot — the first finisher wins and
 /// the loser is cancelled.
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -123,8 +124,9 @@ class TaskManager {
   std::vector<std::string> submit_all(Pilot& pilot,
                                       std::vector<TaskDescription> descs);
 
+  /// The task's record. The reference stays valid, and keeps reading
+  /// the task's current state, after the task finishes.
   [[nodiscard]] const Task& get(const std::string& uid) const;
-  [[nodiscard]] Task& get_mutable(const std::string& uid);
   [[nodiscard]] bool exists(const std::string& uid) const;
   [[nodiscard]] std::vector<std::string> uids() const;
   [[nodiscard]] std::size_t count_in_state(TaskState state) const;
@@ -139,9 +141,14 @@ class TaskManager {
                  std::function<void(bool all_done)> on_done);
 
  private:
-  struct Active {
-    std::unique_ptr<Task> task;
-    Pilot* pilot = nullptr;
+  /// What only a live attempt needs. Freed at the terminal transition,
+  /// right after the completion watchers are rechecked; the Task record
+  /// beside it stays.
+  struct Live {
+    explicit Live(TaskDescription d) : desc(std::move(d)) {}
+
+    TaskDescription desc;
+    platform::Slot slot;
     platform::Node* node = nullptr;  ///< placement, set on grant
     std::unique_ptr<TaskPayload> payload;
     std::unique_ptr<ExecutionContext> ctx;
@@ -183,6 +190,14 @@ class TaskManager {
     metrics::SpanId trace_stage = 0;
     metrics::SpanId trace_run = 0;
     metrics::SpanId trace_recover = 0;
+  };
+
+  /// One tasks_ entry. Map nodes never move, so `task` keeps its
+  /// address for the manager's lifetime; `live` is null once the task
+  /// is terminal.
+  struct Active {
+    Task task;
+    std::unique_ptr<Live> live;
   };
 
   struct DoneWatcher {
@@ -256,6 +271,9 @@ class TaskManager {
 
   [[nodiscard]] Active& active_for(const std::string& uid);
   [[nodiscard]] const Active& active_for(const std::string& uid) const;
+  /// The entry of a task that is still live; null once it is terminal
+  /// (or when `uid` is unknown).
+  [[nodiscard]] Active* find_live(const std::string& uid);
 
   Runtime& runtime_;
   Scheduler& scheduler_;
@@ -264,6 +282,9 @@ class TaskManager {
   ServiceManager& services_;
   common::Logger log_;
   std::map<std::string, Active> tasks_;
+  /// Tasks per state, kept by set_state.
+  std::array<std::size_t, static_cast<std::size_t>(TaskState::canceled) + 1>
+      state_counts_{};
   std::set<std::string> waiting_;
   std::vector<DoneWatcher> watchers_;
   RestartPolicy restart_policy_;

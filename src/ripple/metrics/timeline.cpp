@@ -114,10 +114,12 @@ std::vector<std::string> Timeline::entities_in(std::string_view kind,
 }
 
 void Timeline::clear() {
-  records_.clear();
-  previous_.clear();
-  latest_.clear();
-  names_.clear();
+  // Fresh containers, not clear(): clear() keeps a deque's block map
+  // and a hash table's buckets, which grow with the records dropped.
+  records_ = Records();
+  previous_ = std::deque<std::uint32_t>();
+  latest_ = decltype(latest_)();
+  names_ = decltype(names_)();
 }
 
 }  // namespace ripple::metrics

@@ -1,7 +1,6 @@
 #include "ripple/msg/message.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/ids.hpp"
 
 namespace ripple::msg {
 
@@ -59,10 +58,10 @@ std::size_t Message::wire_size() const noexcept {
          corr_id.size() + error.size() + payload.estimate_size();
 }
 
-Message Message::request(std::string method, Address sender, Address target,
-                         json::Value payload) {
+Message Message::request(std::string uid, std::string method, Address sender,
+                         Address target, json::Value payload) {
   Message m;
-  m.uid = common::make_uid("msg");
+  m.uid = std::move(uid);
   m.kind = MessageKind::request;
   m.method = std::move(method);
   m.sender = std::move(sender);
@@ -71,9 +70,10 @@ Message Message::request(std::string method, Address sender, Address target,
   return m;
 }
 
-Message Message::reply_to(const Message& req, json::Value payload) {
+Message Message::reply_to(std::string uid, const Message& req,
+                          json::Value payload) {
   Message m;
-  m.uid = common::make_uid("msg");
+  m.uid = std::move(uid);
   m.kind = MessageKind::reply;
   m.method = req.method;
   m.sender = req.target;
@@ -84,8 +84,9 @@ Message Message::reply_to(const Message& req, json::Value payload) {
   return m;
 }
 
-Message Message::fail_reply_to(const Message& req, std::string error) {
-  Message m = reply_to(req, json::Value::object());
+Message Message::fail_reply_to(std::string uid, const Message& req,
+                               std::string error) {
+  Message m = reply_to(std::move(uid), req, json::Value::object());
   m.ok = false;
   m.error = std::move(error);
   return m;

@@ -51,7 +51,7 @@ struct RequestTiming {
 };
 
 struct Message {
-  std::string uid;            ///< unique message id ("msg.000042")
+  std::string uid;            ///< Router-issued id ("msg.000042")
   MessageKind kind = MessageKind::request;
   std::string method;         ///< RPC method (request) or topic (event)
   Address sender;             ///< reply-to address
@@ -65,16 +65,21 @@ struct Message {
   /// Estimated serialized size, used by the network bandwidth model.
   [[nodiscard]] std::size_t wire_size() const noexcept;
 
-  [[nodiscard]] static Message request(std::string method, Address sender,
-                                       Address target, json::Value payload);
+  /// `uid` comes from Router::next_uid(): message ids are scoped to
+  /// one Router, so same-seed sessions in one process send the same
+  /// bytes (a reply's wire size counts its correlation id).
+  [[nodiscard]] static Message request(std::string uid, std::string method,
+                                       Address sender, Address target,
+                                       json::Value payload);
 
   /// Builds the reply skeleton for `req`: swapped addresses, copied
   /// correlation id and accumulated timestamps.
-  [[nodiscard]] static Message reply_to(const Message& req,
+  [[nodiscard]] static Message reply_to(std::string uid, const Message& req,
                                         json::Value payload);
 
   /// Builds an error reply for `req`.
-  [[nodiscard]] static Message fail_reply_to(const Message& req,
+  [[nodiscard]] static Message fail_reply_to(std::string uid,
+                                             const Message& req,
                                              std::string error);
 };
 

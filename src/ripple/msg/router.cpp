@@ -1,6 +1,7 @@
 #include "ripple/msg/router.hpp"
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/strutil.hpp"
 
 namespace ripple::msg {
 
@@ -21,6 +22,10 @@ void Router::unbind(const Address& address) { bindings_.erase(address); }
 
 bool Router::bound(const Address& address) const {
   return bindings_.count(address) != 0;
+}
+
+std::string Router::next_uid() {
+  return "msg." + strutil::zero_pad(uids_issued_++, 6);
 }
 
 const sim::HostId& Router::host_of(const Address& address) const {

@@ -36,6 +36,9 @@ class Router {
 
   [[nodiscard]] bool bound(const Address& address) const;
 
+  /// The next message uid, "msg.000000" onwards, counted per Router.
+  [[nodiscard]] std::string next_uid();
+
   /// Host on which `address` is bound; throws not_found when unbound.
   [[nodiscard]] const sim::HostId& host_of(const Address& address) const;
 
@@ -61,6 +64,7 @@ class Router {
   std::unordered_map<Address, Binding> bindings_;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t uids_issued_ = 0;
 };
 
 }  // namespace ripple::msg

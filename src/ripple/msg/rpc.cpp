@@ -32,7 +32,8 @@ void Responder::reply(json::Value payload) {
   ensure(!replied_, Errc::invalid_state, "responder already replied");
   replied_ = true;
   finalize_stamps();
-  Message m = Message::reply_to(request_, std::move(payload));
+  Message m =
+      Message::reply_to(router_->next_uid(), request_, std::move(payload));
   router_->send(host_, std::move(m));
 }
 
@@ -40,7 +41,8 @@ void Responder::fail(std::string error) {
   ensure(!replied_, Errc::invalid_state, "responder already replied");
   replied_ = true;
   finalize_stamps();
-  Message m = Message::fail_reply_to(request_, std::move(error));
+  Message m =
+      Message::fail_reply_to(router_->next_uid(), request_, std::move(error));
   router_->send(host_, std::move(m));
 }
 
@@ -93,8 +95,8 @@ void RpcClient::call(const Address& target, const std::string& method,
                      sim::Duration timeout) {
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "call: empty callback");
-  Message request =
-      Message::request(method, address_, target, std::move(args));
+  Message request = Message::request(router_.next_uid(), method, address_,
+                                     target, std::move(args));
   const std::string corr_id = request.uid;
 
   Pending pending;

@@ -10,6 +10,7 @@
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/core/session.hpp"
+#include "ripple/platform/cluster.hpp"
 #include "ripple/platform/profiles.hpp"
 
 namespace {
@@ -111,8 +112,18 @@ TEST(Descriptions, ValidationCatchesNonsense) {
 // Entities
 // ---------------------------------------------------------------------------
 
-TEST(TaskEntity, StateTimestampsAndDurations) {
-  Task task("task.x", TaskDescription{});
+// A task record refers to the pilot it is bound to.
+class TaskEntity : public ::testing::Test {
+ protected:
+  Runtime runtime{1};
+  platform::Cluster cluster{runtime.loop(), runtime.network(),
+                            platform::delta_profile(1), common::Rng(1)};
+  Pilot pilot{"pilot.x", PilotDescription{}, &cluster};
+};
+
+TEST_F(TaskEntity, StateTimestampsAndDurations) {
+  Task task("task.x", pilot);
+  EXPECT_EQ(task.pilot_uid(), "pilot.x");
   task.set_state(TaskState::scheduling, 1.0);
   task.set_state(TaskState::scheduled, 3.0);
   task.set_state(TaskState::launching, 3.0);
@@ -125,8 +136,8 @@ TEST(TaskEntity, StateTimestampsAndDurations) {
                Error);
 }
 
-TEST(TaskEntity, IllegalTransitionThrows) {
-  Task task("task.x", TaskDescription{});
+TEST_F(TaskEntity, IllegalTransitionThrows) {
+  Task task("task.x", pilot);
   task.set_state(TaskState::scheduling, 0.0);
   EXPECT_THROW(task.set_state(TaskState::running, 1.0), Error);
   task.set_state(TaskState::canceled, 1.0);
@@ -144,8 +155,8 @@ TEST(TaskEntity, IllegalTransitionThrows) {
 
 // A restarted task re-enters SCHEDULING..RUNNING; state_time() keeps
 // the first entry of each state.
-TEST(TaskEntity, ReentryKeepsFirstEntryTimes) {
-  Task task("task.x", TaskDescription{});
+TEST_F(TaskEntity, ReentryKeepsFirstEntryTimes) {
+  Task task("task.x", pilot);
   const TaskState attempt[] = {TaskState::scheduling, TaskState::scheduled,
                                TaskState::launching, TaskState::running};
   double now = 1.0;

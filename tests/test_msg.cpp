@@ -14,26 +14,30 @@ namespace {
 using namespace ripple;
 
 TEST(Message, RequestFactorySetsFields) {
-  const auto m = msg::Message::request("infer", "client.0", "svc.0",
+  const auto m = msg::Message::request("msg.000000", "infer", "client.0",
+                                       "svc.0",
                                        json::Value::object({{"x", 1}}));
   EXPECT_EQ(m.kind, msg::MessageKind::request);
   EXPECT_EQ(m.method, "infer");
   EXPECT_EQ(m.sender, "client.0");
   EXPECT_EQ(m.target, "svc.0");
-  EXPECT_FALSE(m.uid.empty());
+  EXPECT_EQ(m.uid, "msg.000000");
   EXPECT_GT(m.wire_size(), 96u);
 }
 
 TEST(Message, ReplySwapsAddressesAndCorrelates) {
-  const auto request = msg::Message::request("m", "a", "b", json::Value());
-  const auto reply = msg::Message::reply_to(request, json::Value(1));
+  const auto request =
+      msg::Message::request("msg.000000", "m", "a", "b", json::Value());
+  const auto reply =
+      msg::Message::reply_to("msg.000001", request, json::Value(1));
   EXPECT_EQ(reply.kind, msg::MessageKind::reply);
   EXPECT_EQ(reply.sender, "b");
   EXPECT_EQ(reply.target, "a");
   EXPECT_EQ(reply.corr_id, request.uid);
   EXPECT_TRUE(reply.ok);
 
-  const auto failure = msg::Message::fail_reply_to(request, "broken");
+  const auto failure =
+      msg::Message::fail_reply_to("msg.000002", request, "broken");
   EXPECT_FALSE(failure.ok);
   EXPECT_EQ(failure.error, "broken");
 }
@@ -94,7 +98,8 @@ class RouterTest : public ::testing::Test {
 TEST_F(RouterTest, DeliversWithLinkLatencyAndStamps) {
   msg::Message received;
   router.bind("dest", "h1", [&](msg::Message m) { received = std::move(m); });
-  auto m = msg::Message::request("ping", "src", "dest", json::Value());
+  auto m = msg::Message::request(router.next_uid(), "ping", "src", "dest",
+                                 json::Value());
   EXPECT_TRUE(router.send("h0", std::move(m)));
   loop.run();
   EXPECT_EQ(received.method, "ping");
@@ -104,7 +109,8 @@ TEST_F(RouterTest, DeliversWithLinkLatencyAndStamps) {
 }
 
 TEST_F(RouterTest, UnknownTargetDropsAndReturnsFalse) {
-  auto m = msg::Message::request("x", "src", "nowhere", json::Value());
+  auto m = msg::Message::request(router.next_uid(), "x", "src", "nowhere",
+                                 json::Value());
   EXPECT_FALSE(router.send("h0", std::move(m)));
   EXPECT_EQ(router.dropped(), 1u);
 }
@@ -112,8 +118,8 @@ TEST_F(RouterTest, UnknownTargetDropsAndReturnsFalse) {
 TEST_F(RouterTest, UnbindWhileInFlightDropsAtArrival) {
   int handled = 0;
   router.bind("dest", "h1", [&](msg::Message) { ++handled; });
-  router.send("h0",
-              msg::Message::request("x", "src", "dest", json::Value()));
+  router.send("h0", msg::Message::request(router.next_uid(), "x", "src",
+                                          "dest", json::Value()));
   router.unbind("dest");
   loop.run();
   EXPECT_EQ(handled, 0);
@@ -125,12 +131,22 @@ TEST_F(RouterTest, RebindReplacesHandler) {
   int second = 0;
   router.bind("dest", "h1", [&](msg::Message) { ++first; });
   router.bind("dest", "h1", [&](msg::Message) { ++second; });
-  router.send("h0", msg::Message::request("x", "s", "dest", json::Value()));
+  router.send("h0", msg::Message::request(router.next_uid(), "x", "s", "dest",
+                                          json::Value()));
   loop.run();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
   EXPECT_EQ(router.host_of("dest"), "h1");
   EXPECT_THROW((void)router.host_of("gone"), Error);
+}
+
+// Message uids are counted per Router: a second Router (the next
+// session in the same process) starts again at msg.000000.
+TEST_F(RouterTest, IssuesMessageUidsPerRouter) {
+  EXPECT_EQ(router.next_uid(), "msg.000000");
+  EXPECT_EQ(router.next_uid(), "msg.000001");
+  msg::Router other{loop, net};
+  EXPECT_EQ(other.next_uid(), "msg.000000");
 }
 
 TEST_F(RouterTest, BindValidation) {

@@ -13,6 +13,7 @@
 #include "ripple/ml/inference_server.hpp"
 #include "ripple/ml/inference_service.hpp"
 #include "ripple/ml/install.hpp"
+#include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
 
 namespace {
@@ -648,6 +649,68 @@ TEST(ServingDeterminism, DifferentSeedsDiverge) {
   const ServingTrace b = run_serving(22);
   EXPECT_EQ(b.requests, 6u * 12u);  // structure invariant
   EXPECT_NE(a.makespan, b.makespan);  // stochastic draws differ
+}
+
+// ---------------------------------------------------------------------------
+// Session-scoped message uids
+// ---------------------------------------------------------------------------
+
+/// The uids of requests sent after a serving run, and the run's RT
+/// samples. A reply's wire size counts its correlation id, so uids
+/// counted across sessions would make later sessions' link delays drift.
+struct UidTrace {
+  std::vector<std::string> uids;
+  std::vector<double> rt_total;
+};
+
+UidTrace serve_then_probe_uids(std::uint64_t seed) {
+  core::Session session({.seed = seed});
+  ml::install(session);
+  session.add_platform(platform::delta_profile(1));
+  auto& pilot = session.submit_pilot({.platform = "delta", .nodes = 1});
+  core::ServiceDescription svc;
+  svc.name = "noop";
+  svc.program = "inference";
+  svc.config = json::Value::object({{"model", "noop"}});
+  const std::string svc_uid = session.services().submit(pilot, svc);
+  session.services().when_ready({svc_uid}, [&](bool ok) {
+    ASSERT_TRUE(ok);
+    core::TaskDescription task;
+    task.kind = "inference_client";
+    task.payload = json::Value::object(
+        {{"endpoints",
+          json::Value::array({session.services().get(svc_uid).endpoint()})},
+         {"requests", 16},
+         {"series", "uids"}});
+    const std::string task_uid = session.tasks().submit(pilot, task);
+    session.tasks().when_done(
+        {task_uid}, [&](bool) { session.services().stop_all(); });
+  });
+  session.run();
+
+  UidTrace trace;
+  trace.rt_total = session.metrics().series("uids").total.samples();
+  const sim::HostId host = pilot.nodes().front()->host();
+  msg::RpcServer probe(session.runtime().router(), "probe", host);
+  probe.bind_method("echo", [&](std::shared_ptr<msg::Responder> responder) {
+    trace.uids.push_back(responder->request().uid);
+    responder->reply(json::Value());
+  });
+  msg::RpcClient caller(session.runtime().router(), "caller", host);
+  for (int i = 0; i < 3; ++i) {
+    caller.call("probe", "echo", json::Value(), [](msg::CallResult) {});
+  }
+  session.run();
+  return trace;
+}
+
+TEST(MessageUids, SameSeedSessionsInOneProcessIssueTheSameUids) {
+  const UidTrace first = serve_then_probe_uids(5);
+  const UidTrace second = serve_then_probe_uids(5);
+  ASSERT_EQ(first.uids.size(), 3u);
+  EXPECT_EQ(first.rt_total.size(), 16u);
+  EXPECT_EQ(first.uids, second.uids);
+  EXPECT_EQ(first.rt_total, second.rt_total);
 }
 
 // ---------------------------------------------------------------------------
